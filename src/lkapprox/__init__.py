@@ -14,8 +14,8 @@ from .discretize import (
     RfdeSystem,
     build_cheb_model,
     build_leg_model,
+    build_model,
     build_Qy,
-    build_Qy_legendre,
     condition1_check,
     discretize_cheb,
     discretize_leg,
@@ -28,7 +28,6 @@ from .functional import (
     evaluate,
     k1,
     split_components,
-    stability_by_psd,
 )
 from .linalg import (
     ConvergenceError,
@@ -58,7 +57,6 @@ from .spectral import (
     NodeSet,
     cheb_diffmat,
     cheb_nodes,
-    clenshaw_curtis_weights,
     gauss_legendre,
     legendre_vals,
     transform_leg_to_chebvals,

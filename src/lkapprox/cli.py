@@ -19,18 +19,13 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from . import functional, oracle
-from .discretize import (
-    CostWeights,
-    FunctionSpec,
-    RfdeSystem,
-    build_cheb_model,
-    build_leg_model,
-)
+from .discretize import SCHEMES, CostWeights, FunctionSpec, RfdeSystem, build_model
 from .linalg import (
     ConvergenceError,
     NumericalFailureError,
@@ -67,15 +62,15 @@ class ConfigError(Exception):
     pass
 
 
+@dataclass
 class RunConfig:
-    def __init__(self, system, weights, scheme, N, phi, phi_label, allow_incomplete):
-        self.system = system
-        self.weights = weights
-        self.scheme = scheme
-        self.N = N
-        self.phi = phi
-        self.phi_label = phi_label
-        self.allow_incomplete = allow_incomplete
+    system: RfdeSystem
+    weights: CostWeights
+    scheme: str
+    N: int
+    phi: FunctionSpec
+    phi_label: str
+    allow_incomplete: bool
 
 
 def _parse_phi(raw_phi, n):
@@ -152,10 +147,13 @@ def _load_config(path_or_name):
         raise ConfigError(f"invalid config: {exc}") from exc
 
     scheme = raw.get("scheme", "legendre")
-    if scheme not in ("cheb", "legendre"):
-        raise ConfigError(f"config scheme must be 'cheb' or 'legendre', got {scheme!r}")
+    if scheme not in SCHEMES:
+        raise ConfigError(
+            f"config scheme must be {' or '.join(map(repr, SCHEMES))}, got {scheme!r}"
+        )
     N = raw.get("N", 20)
-    if not isinstance(N, int) or N < 1:
+    # bool is a subclass of int, so "N": true would otherwise read as 1.
+    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
         raise ConfigError(f"config N must be an integer >= 1, got {N!r}")
     phi, phi_label = _parse_phi(raw.get("phi"), n)
     allow_incomplete = raw.get("allow_incomplete", False)
@@ -207,13 +205,8 @@ def _scheme_and_N(cfg, args):
     return scheme, int(N)
 
 
-def _build_model(cfg, scheme, N):
-    builder = build_cheb_model if scheme == "cheb" else build_leg_model
-    return builder(cfg.system, N)
-
-
 def _spectrum_payload(cfg, scheme, N):
-    model = _build_model(cfg, scheme, N)
+    model = build_model(cfg.system, scheme, N)
     lam = sorted(eigenvalues(model.A), key=lambda z: (-z.real, -z.imag))
     rightmost = lam[0]
     return {
@@ -228,7 +221,7 @@ def _spectrum_payload(cfg, scheme, N):
 def cmd_spectrum(cfg, args):
     scheme, N = _scheme_and_N(cfg, args)
     if args.both:
-        payload = {s: _spectrum_payload(cfg, s, N) for s in ("cheb", "legendre")}
+        payload = {s: _spectrum_payload(cfg, s, N) for s in SCHEMES}
     else:
         payload = _spectrum_payload(cfg, scheme, N)
     _emit_json(payload, args.out)
@@ -358,7 +351,7 @@ def cmd_sweep(cfg, args):
         raise ConfigError("sweep requires --axis N|h")
     if not args.range:
         raise ConfigError("sweep requires --range a:b")
-    steps = args.steps or 10
+    steps = 10 if args.steps is None else args.steps
     if steps < 1:
         raise ConfigError("--steps must be >= 1")
     lo, hi = _parse_range(args.range)
@@ -437,7 +430,7 @@ def cmd_validate(cfg, args):
     N = _scheme_and_N(cfg, args)[1]
     report = {"N": N, "failures": {}}
     fas = {}
-    for scheme in ("cheb", "legendre"):
+    for scheme in SCHEMES:
         try:
             fas[scheme] = functional.build_functional(
                 cfg.system, cfg.weights, scheme=scheme, N=N,
@@ -521,10 +514,10 @@ def _make_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True,
                        help="JSON config path, or example1|example2|delay-free")
-        p.add_argument("--scheme", choices=("cheb", "legendre"))
+        if name != "validate":
+            p.add_argument("--scheme", choices=SCHEMES)
         p.add_argument("-N", type=int, dest="N")
         p.add_argument("--out")
-        p.add_argument("--tol", type=float)
         if name == "spectrum":
             p.add_argument("--both", action="store_true",
                            help="report both schemes")
@@ -535,6 +528,7 @@ def _make_parser():
             p.add_argument("--phi", choices=("one", "sin", "exp-decay"))
         if name == "critical-delay":
             p.add_argument("--bracket", help="h bracket a:b (default 1:10)")
+            p.add_argument("--tol", type=float)
         if name == "sweep":
             p.add_argument("--axis", choices=("N", "h"))
             p.add_argument("--range", help="sweep range a:b")

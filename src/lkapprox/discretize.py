@@ -30,8 +30,8 @@ __all__ = [
     "DiscreteModel",
     "build_cheb_model",
     "build_leg_model",
+    "build_model",
     "build_Qy",
-    "build_Qy_legendre",
     "discretize_cheb",
     "discretize_leg",
     "condition1_check",
@@ -225,18 +225,6 @@ class DiscreteModel:
     def n(self):
         return self.system.n
 
-    def coeff_to_values(self):
-        """T mapping Legendre coefficients to Chebyshev-grid values."""
-        if self.scheme != "legendre":
-            raise ValueError("coefficient map is defined for the legendre scheme only")
-        return transform_leg_to_chebvals(self.N, self.n)[0]
-
-    def values_to_coeff(self):
-        """Inverse of coeff_to_values."""
-        if self.scheme != "legendre":
-            raise ValueError("coefficient map is defined for the legendre scheme only")
-        return transform_leg_to_chebvals(self.N, self.n)[1]
-
 
 def build_cheb_model(system, N):
     """Collocation closure on the N+1 Chebyshev nodes.
@@ -277,6 +265,17 @@ def build_leg_model(system, N):
     return DiscreteModel("legendre", system, N, grid, A)
 
 
+def build_model(system, scheme, N):
+    """The closure of `system` for `scheme` (one of SCHEMES) at order N."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    # The builders are looked up as module globals on each call, so a
+    # rebinding of either (as a tracing profiler does) reaches this path.
+    if scheme == "cheb":
+        return build_cheb_model(system, N)
+    return build_leg_model(system, N)
+
+
 def build_Qy(weights, N, h):
     """Grid-coordinate cost matrix: corner blocks Q1 and Q0 plus the
     Clenshaw-Curtis discretization diag(w_k) (x) Q2 of the integral term."""
@@ -288,23 +287,6 @@ def build_Qy(weights, N, h):
     Q[d - n:, d - n:] += weights.Q0
     if np.any(weights.Q2):
         Q += np.kron(np.diag(grid.weights), weights.Q2)
-    return Q
-
-
-def build_Qy_legendre(weights, N, h):
-    """Grid-coordinate cost matrix whose integral term is exact in the
-    coefficient basis: diag([h/(2k+1)]_{k<N}, h) (x) Q2 pulled back through
-    the values-to-coefficients map."""
-    n = weights.n
-    h = float(h)
-    d = n * (N + 1)
-    Q = np.zeros((d, d))
-    Q[:n, :n] += weights.Q1
-    Q[d - n:, d - n:] += weights.Q0
-    if np.any(weights.Q2):
-        _, T_vc = transform_leg_to_chebvals(N, n)
-        diag = np.append(h / (2.0 * np.arange(N) + 1.0), h)
-        Q += T_vc.T @ np.kron(np.diag(diag), weights.Q2) @ T_vc
     return Q
 
 

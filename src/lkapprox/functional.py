@@ -19,8 +19,8 @@ from .discretize import (
     DiscreteModel,
     FunctionSpec,
     RfdeSystem,
-    build_cheb_model,
     build_leg_model,
+    build_model,
     build_Qy,
     discretize_cheb,
     discretize_leg,
@@ -33,13 +33,13 @@ from .linalg import (
     solve_lyapunov,
     sym_eigen,
 )
+from .spectral import transform_leg_to_chebvals
 
 __all__ = [
     "FunctionalApprox",
     "build_functional",
     "evaluate",
     "k1",
-    "stability_by_psd",
     "baseline_k1",
     "critical_delay",
     "split_components",
@@ -78,7 +78,7 @@ class FunctionalApprox:
         if self.scheme == "cheb":
             return self.P
         if self._grid_P is None:
-            T_vc = self.model.values_to_coeff()
+            T_vc = transform_leg_to_chebvals(self.N, self.system.n)[1]
             M = T_vc.T @ self.P @ T_vc
             self._grid_P = 0.5 * (M + M.T)
         return self._grid_P
@@ -128,8 +128,6 @@ def build_functional(system, weights, scheme="legendre", N=20, *,
     allow_incomplete : bool
         Waive the complete-type requirement Q0 > 0, Q1 > 0, Q2 >= 0.
     """
-    if scheme not in ("cheb", "legendre"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     if weights.n != system.n:
         raise DimensionError(
             f"weights are {weights.n}-dimensional but the system is {system.n}-dimensional"
@@ -145,8 +143,8 @@ def build_functional(system, weights, scheme="legendre", N=20, *,
 
     n, h = system.n, system.h
     d = n * (N + 1)
+    model = build_model(system, scheme, N)
     if scheme == "cheb":
-        model = build_cheb_model(system, N)
         if split:
             Q_solve = np.zeros((d, d))
             Q_solve[d - n:, d - n:] = weights.combined(h)
@@ -161,7 +159,6 @@ def build_functional(system, weights, scheme="legendre", N=20, *,
             P = solve_lyapunov(model.A, Q_solve)
             residual = _relative_residual(P, model.A, Q_solve)
     else:
-        model = build_leg_model(system, N)
         Q_solve = _legendre_cost(weights, N, h)
         P = solve_lyapunov(model.A, Q_solve)
         residual = _relative_residual(P, model.A, Q_solve)
@@ -221,15 +218,6 @@ def k1(fa, check_psd=True):
                 "pass check_psd=False to evaluate anyway"
             )
     return fa._k1
-
-
-def stability_by_psd(fa):
-    """Stability verdict from positivity of P.
-
-    Returns (psd, lam_min).  For orders past the scheme's resolution
-    threshold this verdict matches the Hurwitz test of the closure matrix.
-    """
-    return fa.psd, fa.lam_min
 
 
 def baseline_k1(system, weights, method="norm-ratio"):
@@ -308,12 +296,9 @@ def critical_delay(system, scheme="legendre", N=20, bracket=(1.0, 10.0), tol=1e-
     tol = float(tol)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    builder = build_cheb_model if scheme == "cheb" else build_leg_model
-    if scheme not in ("cheb", "legendre"):
-        raise ValueError(f"unknown scheme {scheme!r}")
 
     def _abscissa(h):
-        model = builder(dataclasses.replace(system, h=h), N)
+        model = build_model(dataclasses.replace(system, h=h), scheme, N)
         return is_hurwitz(model.A)[1]
 
     if _abscissa(h_lo) >= 0.0:

@@ -18,7 +18,6 @@ __all__ = [
     "NodeSet",
     "cheb_nodes",
     "cheb_diffmat",
-    "clenshaw_curtis_weights",
     "gauss_legendre",
     "legendre_vals",
     "transform_leg_to_chebvals",
@@ -157,13 +156,6 @@ def cheb_diffmat(N, h):
     N = _check_order(N)
     h = _check_h(h)
     return (2.0 / h) * _unit_cheb_diffmat(N)
-
-
-def clenshaw_curtis_weights(N, h):
-    """Clenshaw-Curtis weights on [-h, 0] for the N+1 Chebyshev nodes."""
-    N = _check_order(N)
-    h = _check_h(h)
-    return 0.5 * h * _unit_cc_weights(N)
 
 
 @lru_cache(maxsize=None)

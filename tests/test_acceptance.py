@@ -27,7 +27,6 @@ from lkapprox.functional import (
     baseline_k1,
     critical_delay,
     split_components,
-    stability_by_psd,
 )
 from lkapprox.linalg import is_hurwitz, solve_lyapunov
 from lkapprox.oracle import assemble_quad, build_delay_lyap, k1_quad, property_residuals
@@ -250,8 +249,7 @@ def test_criterion_09_psd_verdict_matches_hurwitz(ex2_system, ex2_weights):
         sys_h = RfdeSystem(ex2_system.A0, ex2_system.A1, float(h))
         for scheme in ("cheb", "legendre"):
             fa = build_functional(sys_h, ex2_weights, scheme, 40)
-            psd, _ = stability_by_psd(fa)
-            if psd != is_hurwitz(np.asarray(fa.model.A))[0]:
+            if fa.psd != is_hurwitz(np.asarray(fa.model.A))[0]:
                 disagreements.append((round(float(h), 3), scheme))
     ok = not disagreements
     detail = (

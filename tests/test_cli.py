@@ -59,6 +59,8 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert main(["k1", "--config",
                  write_config(tmp_path, N=0)]) == cli.EXIT_CONFIG
     assert main(["k1", "--config",
+                 write_config(tmp_path, N=True)]) == cli.EXIT_CONFIG
+    assert main(["k1", "--config",
                  write_config(tmp_path, phi="pulse")]) == cli.EXIT_CONFIG
     assert main(["k1", "--config",
                  write_config(tmp_path, phi={"constant": [1.0]})]) == cli.EXIT_CONFIG
@@ -294,10 +296,32 @@ def test_sweep_argument_validation(capsys, monkeypatch):
                  "--range", "4:1"]) == cli.EXIT_CONFIG
     assert main(["sweep", "--config", "example2", "--axis", "h",
                  "--range", "0:4", "--steps", "3"]) == cli.EXIT_CONFIG
+    assert main(["sweep", "--config", "example2", "--axis", "h",
+                 "--range", "1:4", "--steps", "0"]) == cli.EXIT_CONFIG
     monkeypatch.setenv("LK_THREADS", "soon")
     assert main(["sweep", "--config", "example2", "--axis", "h",
                  "--range", "1:4", "--steps", "3"]) == cli.EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_flags_rejected_where_they_do_not_act(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["k1", "--config", "example1", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", "example1", "--scheme", "cheb"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_build_no_split_meta(tmp_path, capsys):
+    out = tmp_path / "p.bin"
+    assert main(["build", "--config", "example2", "--scheme", "cheb",
+                 "--no-split", "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    meta = json.loads((tmp_path / "p.bin.meta.json").read_text())
+    assert meta["split"] is False and meta["scheme"] == "cheb"
+    assert meta["residual"] <= 1e-9
 
 
 def test_validate_example1(capsys):

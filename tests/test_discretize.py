@@ -13,14 +13,15 @@ from lkapprox import (
     build_leg_model,
 )
 from lkapprox.discretize import (
+    build_model,
     build_Qy,
-    build_Qy_legendre,
     condition1_check,
     discretize_cheb,
     discretize_leg,
 )
+from lkapprox.functional import _legendre_cost
 from lkapprox.linalg import DimensionError, eigenvalues
-from lkapprox.spectral import cheb_nodes, legendre_vals
+from lkapprox.spectral import cheb_nodes, legendre_vals, transform_leg_to_chebvals
 
 rng = np.random.default_rng(20240819)
 
@@ -134,10 +135,18 @@ def test_leg_model_sparsity_pattern(ex2_system):
                 npt.assert_array_equal(block, np.zeros((n, n)))
 
 
+def test_scheme_dispatch_builds_each_closure(ex2_system):
+    for scheme, builder in (("cheb", build_cheb_model), ("legendre", build_leg_model)):
+        model = build_model(ex2_system, scheme, 6)
+        assert model.scheme == scheme
+        npt.assert_array_equal(model.A, builder(ex2_system, 6).A)
+    with pytest.raises(ValueError, match="unknown scheme"):
+        build_model(ex2_system, "fourier", 6)
+
+
 def test_leg_model_similarity_spectrum(ex2_system):
     model = build_leg_model(ex2_system, 12)
-    T_cv = model.coeff_to_values()
-    T_vc = model.values_to_coeff()
+    T_cv, T_vc = transform_leg_to_chebvals(12, ex2_system.n)
     A_y = T_cv @ model.A @ T_vc
     lam_zeta = np.sort_complex(eigenvalues(model.A))
     lam_y = np.sort_complex(eigenvalues(A_y))
@@ -184,30 +193,37 @@ def test_build_Qy_psd_and_lower_bound():
         assert y @ Q @ y >= lam0 * (yN @ yN) - 1e-10
 
 
-def test_build_Qy_legendre_corner_only():
-    w = CostWeights([[2.0]], [[3.0]], [[0.0]])
-    npt.assert_array_equal(build_Qy_legendre(w, 4, 2.0),
-                           np.diag([3.0, 0, 0, 0, 2.0]))
+def test_legendre_cost_corner_only():
+    # Without an integral term the tau cost is the grid cost's corner
+    # blocks pulled back through the coefficient-to-values map.
+    n, N = 2, 4
+    R0, R1 = rng.standard_normal((2, n, n))
+    w = CostWeights(R0 @ R0.T, R1 @ R1.T, np.zeros((n, n)))
+    T_cv, _ = transform_leg_to_chebvals(N, n)
+    npt.assert_allclose(_legendre_cost(w, N, 2.0),
+                        T_cv.T @ build_Qy(w, N, 2.0) @ T_cv, atol=1e-14)
 
 
-def test_build_Qy_legendre_weight_sequence():
-    from lkapprox.spectral import transform_leg_to_chebvals
+def test_legendre_cost_weight_sequence():
+    n, N, h = 2, 3, 2.0
+    R = rng.standard_normal((n, n))
+    w = CostWeights(np.zeros((n, n)), np.zeros((n, n)), R @ R.T)
+    npt.assert_allclose(_legendre_cost(w, N, h),
+                        np.kron(np.diag([2.0, 2 / 3, 2 / 5, 2.0]), w.Q2),
+                        atol=1e-15)
 
-    w = CostWeights([[0.0]], [[0.0]], [[1.0]])
-    Q = build_Qy_legendre(w, 2, 2.0)
-    _, T_vc = transform_leg_to_chebvals(2, 1)
-    npt.assert_allclose(Q, T_vc.T @ np.diag([2.0, 2 / 3, 2.0]) @ T_vc, atol=1e-14)
 
-
-def test_build_Qy_legendre_constant_integral():
+def test_legendre_cost_constant_integral():
     n, N, h = 2, 5, 2.2
     R = rng.standard_normal((n, n))
     Q2 = R @ R.T
     w = CostWeights(np.zeros((n, n)), np.zeros((n, n)), Q2)
-    Q = build_Qy_legendre(w, N, h)
     c = rng.standard_normal(n)
-    y = np.tile(c, N + 1)
-    npt.assert_allclose(y @ Q @ y, h * c @ Q2 @ c, rtol=1e-10)
+    zeta = np.zeros(n * (N + 1))
+    zeta[:n] = c
+    npt.assert_array_equal(zeta, discretize_leg(FunctionSpec.constant(c), N, h))
+    npt.assert_allclose(zeta @ _legendre_cost(w, N, h) @ zeta,
+                        h * c @ Q2 @ c, rtol=1e-10)
 
 
 def test_discretize_cheb_examples():

@@ -21,7 +21,6 @@ from lkapprox.functional import (
     baseline_k1,
     critical_delay,
     split_components,
-    stability_by_psd,
 )
 from lkapprox.linalg import DimensionError, is_hurwitz
 from lkapprox.oracle import build_delay_lyap, k1_quad
@@ -188,11 +187,10 @@ def test_k1_orthogonal_state_invariance(ex2_system, ex2_weights, scheme):
 
 def test_stability_by_psd_examples(ex2_system, ex2_weights):
     stable = build_functional(ex2_system, ex2_weights, "legendre", 40)
-    assert stability_by_psd(stable)[0]
+    assert stable.psd
     unstable = build_functional(dataclasses.replace(ex2_system, h=7.0),
                                 ex2_weights, "legendre", 40)
-    verdict, lam_min = stability_by_psd(unstable)
-    assert not verdict and lam_min < 0.0
+    assert not unstable.psd and unstable.lam_min < 0.0
 
 
 def test_stability_by_psd_unstable_delay_free():
@@ -200,7 +198,7 @@ def test_stability_by_psd_unstable_delay_free():
     w = CostWeights([[1.0]], [[1.0]], [[0.0]])
     for N in (4, 12):
         fa = build_functional(sys_, w, "legendre", N)
-        assert not stability_by_psd(fa)[0]
+        assert not fa.psd
 
 
 @pytest.mark.parametrize("scheme", ["cheb", "legendre"])
@@ -209,7 +207,7 @@ def test_psd_verdict_tracks_hurwitz_over_delay_grid(ex2_system, ex2_weights,
     for h in np.linspace(0.5, 9.0, 30):
         sys_h = dataclasses.replace(ex2_system, h=float(h))
         fa = build_functional(sys_h, ex2_weights, scheme, 40)
-        assert stability_by_psd(fa)[0] == is_hurwitz(fa.model.A)[0]
+        assert fa.psd == is_hurwitz(fa.model.A)[0]
 
 
 def test_baseline_norm_ratio_closed_form(ex2_system, ex2_weights):
@@ -319,6 +317,26 @@ def test_split_v1_exact_on_low_degree_polynomials(ex2_system, ex2_weights):
         anti = npoly.polyint(npoly.polymul(coeffs[:, i], coeffs[:, i]))
         exact += npoly.polyval(0.0, anti) - npoly.polyval(-h, anti)
     npt.assert_allclose(zeta @ P1 @ zeta, exact, rtol=1e-10)
+
+
+def test_unsplit_cheb_build_passes_residual_gate(ex2_system, ex2_weights):
+    fa = build_functional(ex2_system, ex2_weights, "cheb", 20, split=False)
+    assert fa.split is False
+    assert fa.residual <= 1e-9
+
+
+@pytest.mark.parametrize("q2", [0.0, 0.5])
+def test_split_cheb_k1_beats_unsplit(ex2_system, q2):
+    # Against the tau closure at the same order, splitting off the exactly
+    # known history terms cuts the collocation k1 error by well over 10x.
+    w = CostWeights(np.eye(2), np.eye(2), q2 * np.eye(2))
+    for N in (8, 16, 32):
+        ref = k1(build_functional(ex2_system, w, "legendre", N))
+        err_split = abs(k1(build_functional(ex2_system, w, "cheb", N)) - ref)
+        err_unsplit = abs(
+            k1(build_functional(ex2_system, w, "cheb", N, split=False)) - ref
+        )
+        assert err_split < err_unsplit / 10.0, (N, err_split, err_unsplit)
 
 
 @pytest.mark.parametrize("scheme", ["cheb", "legendre"])
