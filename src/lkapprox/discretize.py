@@ -340,24 +340,26 @@ def discretize_leg(phi, N, h):
     return zeta
 
 
+def _tau_to_combined(M, n, rows=False):
+    """M Ti (Ti' M Ti with rows) for the tau combined coordinates
+    chi = (zeta^0..zeta^{N-1}, endpoint value), zeta = Ti chi, where Ti is
+    the identity with -I blocks in its last block row: the endpoint block is
+    subtracted from each history block, rows first, in O(d^2)."""
+    M = np.array(M, dtype=float)
+    if rows:
+        M[:-n] -= np.tile(M[-n:], (M.shape[0] // n - 1, 1))
+    M[:, :-n] -= np.tile(M[:, -n:], M.shape[1] // n - 1)
+    return M
+
+
 def condition1_check(model):
     """Hurwitz test of the state-free closure block.
 
     For collocation this is the leading nN x nN block of A (independent of
-    A0 and A1).  For the tau scheme the closure is first moved to combined
-    coordinates chi = (zeta^0..zeta^{N-1}, endpoint value), whose transform
-    has the closed-form inverse with -I blocks in the last block row.
+    A0 and A1).  For the tau scheme it is that block of T A Ti, the closure
+    in combined coordinates, whose first nN rows are those of A Ti.
     """
-    n = model.n
-    p = n * model.N
+    p = model.n * model.N
     if model.scheme == "cheb":
-        sub = model.A[:p, :p]
-    else:
-        d = n * (model.N + 1)
-        T = np.eye(d)
-        T[p:, :p] = np.tile(np.eye(n), (1, model.N))
-        Ti = np.eye(d)
-        Ti[p:, :p] = -np.tile(np.eye(n), (1, model.N))
-        A_chi = T @ model.A @ Ti
-        sub = A_chi[:p, :p]
-    return is_hurwitz(sub)
+        return is_hurwitz(model.A[:p, :p])
+    return is_hurwitz(_tau_to_combined(model.A[:p], model.n)[:, :p])

@@ -19,6 +19,7 @@ from .discretize import (
     DiscreteModel,
     FunctionSpec,
     RfdeSystem,
+    _tau_to_combined,
     build_leg_model,
     build_model,
     build_Qy,
@@ -51,10 +52,10 @@ class FunctionalApprox:
     """A built functional: V(phi) = d(phi)' P d(phi) in scheme coordinates.
 
     P is the grid-values matrix for the "cheb" scheme and the Legendre
-    coefficient matrix for "legendre".  `residual` is the relative residual
-    of the Lyapunov solve the build performed, `lam_min`/`lam_max` are the
-    extreme eigenvalues of P, and `psd` is the positivity verdict
-    lam_min >= -1e-8 max(1, lam_max).
+    coefficient matrix for "legendre".  `residual` (gated by `solve_lyapunov`)
+    and `hurwitz`/`max_re` come from the build's one Lyapunov solve;
+    `lam_min`/`lam_max` are the extreme eigenvalues of P, and `psd` is the
+    verdict lam_min >= -1e-8 max(|lam_min|, |lam_max|) of `schur_complement`.
     """
 
     scheme: str
@@ -82,16 +83,6 @@ class FunctionalApprox:
             M = T_vc.T @ self.P @ T_vc
             self._grid_P = 0.5 * (M + M.T)
         return self._grid_P
-
-
-def _relative_residual(P, A, Q):
-    res = float(np.linalg.norm(P @ A + A.T @ P + Q, "fro"))
-    scale = max(
-        1.0,
-        float(np.linalg.norm(Q, "fro"))
-        + 2.0 * float(np.linalg.norm(A, "fro")) * float(np.linalg.norm(P, "fro")),
-    )
-    return res / scale
 
 
 def _legendre_cost(weights, N, h):
@@ -144,34 +135,30 @@ def build_functional(system, weights, scheme="legendre", N=20, *,
     n, h = system.n, system.h
     d = n * (N + 1)
     model = build_model(system, scheme, N)
-    if scheme == "cheb":
-        if split:
-            Q_solve = np.zeros((d, d))
-            Q_solve[d - n:, d - n:] = weights.combined(h)
-            P0 = solve_lyapunov(model.A, Q_solve)
-            residual = _relative_residual(P0, model.A, Q_solve)
-            w = model.nodes.weights
-            P = P0 + np.kron(np.diag(w), weights.Q1)
-            if np.any(weights.Q2):
-                P = P + np.kron(np.diag(w * (h + model.nodes.nodes)), weights.Q2)
-        else:
-            Q_solve = build_Qy(weights, N, h)
-            P = solve_lyapunov(model.A, Q_solve)
-            residual = _relative_residual(P, model.A, Q_solve)
-    else:
+    split = bool(split) if scheme == "cheb" else True
+    if scheme == "legendre":
         Q_solve = _legendre_cost(weights, N, h)
-        P = solve_lyapunov(model.A, Q_solve)
-        residual = _relative_residual(P, model.A, Q_solve)
+    elif split:
+        Q_solve = np.zeros((d, d))
+        Q_solve[d - n:, d - n:] = weights.combined(h)
+    else:
+        Q_solve = build_Qy(weights, N, h)
+    sol = solve_lyapunov(model.A, Q_solve)
+    P = sol.P
+    if scheme == "cheb" and split:
+        w = model.nodes.weights
+        P = P + np.kron(np.diag(w), weights.Q1)
+        if np.any(weights.Q2):
+            P = P + np.kron(np.diag(w * (h + model.nodes.nodes)), weights.Q2)
 
-    hurwitz, max_re = is_hurwitz(model.A)
+    max_re = float(np.max(sol.eigenvalues.real))
     ew = np.linalg.eigvalsh(0.5 * (P + P.T))
     lam_min, lam_max = float(ew[0]), float(ew[-1])
-    psd = lam_min >= -1e-8 * max(1.0, lam_max)
+    psd = lam_min >= -1e-8 * max(abs(lam_min), abs(lam_max))
     return FunctionalApprox(
-        scheme=scheme, system=system, weights=weights, N=N,
-        split=bool(split) if scheme == "cheb" else True,
-        model=model, P=P, residual=residual,
-        hurwitz=hurwitz, max_re=max_re,
+        scheme=scheme, system=system, weights=weights, N=N, split=split,
+        model=model, P=P, residual=sol.residual,
+        hurwitz=max_re < 0.0, max_re=max_re,
         lam_min=lam_min, lam_max=lam_max, psd=psd,
     )
 
@@ -194,29 +181,19 @@ def k1(fa, check_psd=True):
 
     Eliminates the history blocks by a generalized Schur complement; for the
     tau scheme the elimination runs in combined coordinates whose last block
-    is the endpoint value.  With check_psd the indefinite case (functional
-    past the stability boundary) raises instead of returning a negative
-    number.
+    is the endpoint value.  With check_psd a functional that fails its
+    `psd` verdict (past the stability boundary) raises instead of returning
+    a negative number.
     """
-    n, N = fa.system.n, fa.N
-    p = n * N
     if fa._k1 is None:
-        if fa.scheme == "cheb":
-            M = fa.P
-        else:
-            d = n * (N + 1)
-            T_cc = np.eye(d)
-            T_cc[p:, :p] = -np.tile(np.eye(n), (1, N))
-            M = T_cc.T @ fa.P @ T_cc
-        S = schur_complement(M, p, check_psd=False)
+        M = fa.P if fa.scheme == "cheb" else _tau_to_combined(fa.P, fa.system.n, rows=True)
+        S = schur_complement(M, fa.system.n * fa.N, check_psd=False)
         fa._k1 = float(sym_eigen(S).eigenvalues[0])
-    if check_psd:
-        nrm2 = max(abs(fa.lam_min), abs(fa.lam_max))
-        if fa.lam_min < -1e-8 * nrm2:
-            raise ValueError(
-                f"functional is indefinite (lam_min = {fa.lam_min:.3e}); "
-                "pass check_psd=False to evaluate anyway"
-            )
+    if check_psd and not fa.psd:
+        raise ValueError(
+            f"functional is indefinite (lam_min = {fa.lam_min:.3e}); "
+            "pass check_psd=False to evaluate anyway"
+        )
     return fa._k1
 
 
@@ -330,8 +307,9 @@ def split_components(system, weights, N):
         raise ValueError(f"order must be an integer >= 1, got {N!r}")
     n, h = system.n, system.h
     model = build_leg_model(system, N)
-    Qt = weights.combined(h)
-    P0 = solve_lyapunov(model.A, np.kron(np.ones((N + 1, N + 1)), Qt))
+    zero = np.zeros((n, n))
+    Qt = _legendre_cost(CostWeights(weights.combined(h), zero, zero), N, h)
+    P0 = solve_lyapunov(model.A, Qt).P
 
     diag1 = np.append(h / (2.0 * np.arange(N) + 1.0), 0.0)
     P1 = np.kron(np.diag(diag1), weights.Q1)

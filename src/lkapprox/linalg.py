@@ -18,6 +18,7 @@ __all__ = [
     "SingularOperatorError",
     "NumericalFailureError",
     "RangeError",
+    "LyapunovSolution",
     "SymEigen",
     "eigenvalues",
     "is_hurwitz",
@@ -92,31 +93,39 @@ def eigenvalues(A):
         raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
-def is_hurwitz(A, margin=0.0):
-    """Test whether every eigenvalue of A satisfies Re(lam) < -margin.
+def is_hurwitz(A):
+    """Test whether every eigenvalue of A has negative real part.
 
     Returns
     -------
     (bool, float)
         The verdict and the spectral abscissa max Re(lam).
     """
-    if margin < 0.0:
-        raise ValueError("margin must be nonnegative")
-    lam = eigenvalues(A)
-    max_re = float(np.max(lam.real))
-    return max_re < -margin, max_re
+    max_re = float(np.max(eigenvalues(A).real))
+    return max_re < 0.0, max_re
+
+
+class LyapunovSolution(NamedTuple):
+    P: np.ndarray            # symmetric solution of P A + A^T P = -Q
+    residual: float          # ||P A + A^T P + Q||_F / scale, as gated
+    eigenvalues: np.ndarray  # of A, from the Schur factor of the solve
 
 
 def solve_lyapunov(A, Q):
     """Solve P A + A^T P = -Q for the symmetric matrix P.
 
-    Uses the real-Schur (Bartels-Stewart) factorization.  The operator is
-    singular exactly when two eigenvalues of A sum to zero, so that pairing
-    is checked first; afterwards the residual ||P A + A^T P + Q||_F is gated
-    at 1e-9 relative to max(1, ||Q||_F + 2 ||A||_F ||P||_F).
+    Bartels-Stewart on one real Schur factorization A^T = Z T Z^T (LAPACK
+    dgees, which also yields the eigenvalues of A) and dtrsyl, in the
+    operation order of SciPy's Lyapunov solver.  The operator is singular
+    exactly when two eigenvalues of A sum to zero, so that pairing is
+    checked first; afterwards the residual ||P A + A^T P + Q||_F is gated at
+    1e-9 relative to scale = max(1, ||Q||_F + 2 ||A||_F ||P||_F).  Returns
+    LyapunovSolution(P, residual / scale, eigenvalues of A).
 
     Raises
     ------
+    ConvergenceError
+        If the Schur iteration fails.
     SingularOperatorError
         If min |lam_i + lam_j| falls below 1e-10 * max(1, rho(A)).
     NumericalFailureError
@@ -128,7 +137,15 @@ def solve_lyapunov(A, Q):
         raise DimensionError(f"A and Q dimensions differ: {A.shape} vs {Q.shape}")
     _check_symmetric(Q, "Q")
 
-    lam = eigenvalues(A)
+    # P A + A^T P = -Q  is  (A^T) P + P (A^T)^T = -Q.
+    gees = scipy.linalg.lapack.dgees
+    lwork = gees(lambda x: None, A.T, lwork=-1)[-2][0].real.astype(np.int_)
+    T, _, wr, wi, Z, _, info = gees(lambda x, y=None: None, A.T, lwork=lwork,
+                                    overwrite_a=False, sort_t=0)
+    if info != 0:
+        raise ConvergenceError(f"real Schur iteration did not converge (info={info})")
+    lam = wr + 1j * wi
+
     sums = np.abs(lam[:, None] + lam[None, :])
     i, j = np.unravel_index(int(np.argmin(sums)), sums.shape)
     gap = float(sums[i, j])
@@ -139,8 +156,10 @@ def solve_lyapunov(A, Q):
             pair=(complex(lam[i]), complex(lam[j])),
         )
 
-    # P A + A^T P = -Q  is  (A^T) P + P (A^T)^T = -Q in scipy's convention.
-    P = scipy.linalg.solve_continuous_lyapunov(A.T, -Q)
+    # The pair check above keeps dtrsyl away from its perturbed (info = 1)
+    # branch, which needs a sum below machine precision times ||T||.
+    Y, y_scale, _ = scipy.linalg.lapack.dtrsyl(T, T, Z.T.dot((-Q).dot(Z)), tranb="T")
+    P = Z.dot(Y * y_scale).dot(Z.T)
     P = 0.5 * (P + P.T)
 
     residual = float(np.linalg.norm(P @ A + A.T @ P + Q, "fro"))
@@ -154,7 +173,7 @@ def solve_lyapunov(A, Q):
             f"Lyapunov residual {residual:.3e} exceeds 1e-9 * {scale:.3e}",
             residual=residual,
         )
-    return P
+    return LyapunovSolution(P, residual / scale, lam)
 
 
 class SymEigen(NamedTuple):

@@ -2,9 +2,10 @@
 
 Everything here is an independent route to a quantity the library also
 computes: Newton-refined characteristic roots, a Kronecker-vectorization
-Lyapunov solve, and high-order quadrature of the functional's integral
-formula (V of one segment, and the Legendre-Galerkin matrix behind k1) with
-the integration domain split at the kernel's diagonal kink.
+Lyapunov solve, the relative residual of a Lyapunov solution, and
+high-order quadrature of the functional's integral formula (V of one
+segment, and the Legendre-Galerkin matrix behind k1) with the integration
+domain split at the kernel's diagonal kink.
 """
 
 import numpy as np
@@ -60,6 +61,18 @@ def kron_lyap_solve(A, Q):
     vecP = np.linalg.solve(K, -Q.reshape(-1, order="F"))
     P = vecP.reshape(d, d, order="F")
     return 0.5 * (P + P.T)
+
+
+def relative_residual(P, A, Q):
+    """||P A + A^T P + Q||_F relative to max(1, ||Q||_F + 2 ||A||_F ||P||_F),
+    the quantity `solve_lyapunov` gates at 1e-9."""
+    res = float(np.linalg.norm(P @ A + A.T @ P + Q, "fro"))
+    scale = max(
+        1.0,
+        float(np.linalg.norm(Q, "fro"))
+        + 2.0 * float(np.linalg.norm(A, "fro")) * float(np.linalg.norm(P, "fro")),
+    )
+    return res / scale
 
 
 def quad_V(dl, weights, phi, m=60):

@@ -11,7 +11,14 @@ import time
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from helpers import gram_psi, kron_lyap_solve, quad_k1, quad_V, random_stable_rfde
+from helpers import (
+    gram_psi,
+    kron_lyap_solve,
+    quad_k1,
+    quad_V,
+    random_stable_rfde,
+    relative_residual,
+)
 from lkapprox import (
     CostWeights,
     FunctionSpec,
@@ -23,7 +30,6 @@ from lkapprox import (
 from lkapprox.discretize import build_cheb_model, build_leg_model, discretize_leg
 from lkapprox.functional import (
     _legendre_cost,
-    _relative_residual,
     baseline_k1,
     critical_delay,
     split_components,
@@ -150,7 +156,7 @@ def test_criterion_06_lyapunov_residual_property():
         max_dim = max(max_dim, d)
         R = rng6.standard_normal((d, d))
         Q = R @ R.T + 0.1 * np.eye(d)
-        P = solve_lyapunov(A, Q)
+        P = solve_lyapunov(A, Q).P
         scale = max(1.0, np.linalg.norm(Q) + 2.0 * np.linalg.norm(A) * np.linalg.norm(P))
         worst_res = max(worst_res, np.linalg.norm(P @ A + A.T @ P + Q) / scale)
         worst_dev = max(worst_dev, float(np.max(np.abs(P - kron_lyap_solve(A, Q)))))
@@ -164,7 +170,7 @@ def test_criterion_06_lyapunov_residual_property():
     max_dim = max(max_dim, d)
     R = rng6.standard_normal((d, d))
     Q = R @ R.T + 0.1 * np.eye(d)
-    P = solve_lyapunov(A, Q)
+    P = solve_lyapunov(A, Q).P
     scale = max(1.0, np.linalg.norm(Q) + 2.0 * np.linalg.norm(A) * np.linalg.norm(P))
     worst_res = max(worst_res, np.linalg.norm(P @ A + A.T @ P + Q) / scale)
     worst_dev = max(worst_dev, float(np.max(np.abs(P - kron_lyap_solve(A, Q)))))
@@ -233,8 +239,8 @@ def test_criterion_08_splitting_exactness():
     rel2 = abs(zeta @ P2 @ zeta - e2) / abs(e2)
     model_A = build_functional(sys_, w, "legendre", N).model.A
     zero = np.zeros((n, n))
-    res1 = _relative_residual(P1, model_A, _legendre_cost(CostWeights(-w.Q1, w.Q1, zero), N, h))
-    res2 = _relative_residual(P2, model_A, _legendre_cost(CostWeights(-h * w.Q2, zero, w.Q2), N, h))
+    res1 = relative_residual(P1, model_A, _legendre_cost(CostWeights(-w.Q1, w.Q1, zero), N, h))
+    res2 = relative_residual(P2, model_A, _legendre_cost(CostWeights(-h * w.Q2, zero, w.Q2), N, h))
     ok = rel1 <= 1e-10 and rel2 <= 1e-10 and res1 <= 1e-9 and res2 <= 1e-9
     detail = (
         f"V1 rel err {rel1:.2e}, V2 rel err {rel2:.2e} (<= 1e-10); closed-form "

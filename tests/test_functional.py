@@ -4,8 +4,9 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
-from helpers import quad_V, random_stable_rfde
+from helpers import quad_V, random_stable_rfde, relative_residual
 from lkapprox import (
     CostWeights,
     FunctionSpec,
@@ -17,7 +18,6 @@ from lkapprox import (
 from lkapprox.discretize import discretize_leg
 from lkapprox.functional import (
     _legendre_cost,
-    _relative_residual,
     baseline_k1,
     critical_delay,
     split_components,
@@ -202,6 +202,24 @@ def test_stability_by_psd_unstable_delay_free():
 
 
 @pytest.mark.parametrize("scheme", ["cheb", "legendre"])
+def test_psd_verdict_is_scale_free(ex2_system, ex2_h_crit, scheme):
+    # Scaling the weights scales P, so the verdict must not depend on the
+    # scale, and k1 raises exactly when the verdict is negative.  At h = 7
+    # with weights 1e-12 I the tau P has lam_min -1.6e-9 and lam_max 2.2e-11;
+    # a threshold floored at -1e-8 max(1, lam_max) called it semidefinite.
+    for h in (2.0, 7.0):
+        for scale in (1.0, 1e-12):
+            w = CostWeights(scale * np.eye(2), scale * np.eye(2), np.zeros((2, 2)))
+            fa = build_functional(dataclasses.replace(ex2_system, h=h), w, scheme, 20)
+            assert fa.psd == fa.hurwitz == (h < ex2_h_crit)
+            if fa.psd:
+                assert k1(fa) > 0.0
+            else:
+                with pytest.raises(ValueError, match="indefinite"):
+                    k1(fa)
+
+
+@pytest.mark.parametrize("scheme", ["cheb", "legendre"])
 def test_psd_verdict_tracks_hurwitz_over_delay_grid(ex2_system, ex2_weights,
                                                     scheme):
     for h in np.linspace(0.5, 9.0, 30):
@@ -289,9 +307,9 @@ def test_split_components_satisfy_their_equations():
     Q0c = _legendre_cost(CostWeights(w.combined(h), zero, zero), N, h)
     Q1c = _legendre_cost(CostWeights(-w.Q1, w.Q1, zero), N, h)
     Q2c = _legendre_cost(CostWeights(-h * w.Q2, zero, w.Q2), N, h)
-    assert _relative_residual(P0, model_A, Q0c) <= 1e-9
-    assert _relative_residual(P1, model_A, Q1c) <= 1e-9
-    assert _relative_residual(P2, model_A, Q2c) <= 1e-9
+    assert relative_residual(P0, model_A, Q0c) <= 1e-9
+    assert relative_residual(P1, model_A, Q1c) <= 1e-9
+    assert relative_residual(P2, model_A, Q2c) <= 1e-9
 
 
 def test_split_components_superpose_to_direct_build():
@@ -317,6 +335,33 @@ def test_split_v1_exact_on_low_degree_polynomials(ex2_system, ex2_weights):
         anti = npoly.polyint(npoly.polymul(coeffs[:, i], coeffs[:, i]))
         exact += npoly.polyval(0.0, anti) - npoly.polyval(-h, anti)
     npt.assert_allclose(zeta @ P1 @ zeta, exact, rtol=1e-10)
+
+
+@pytest.mark.parametrize("scheme, split",
+                         [("legendre", True), ("cheb", True), ("cheb", False)])
+def test_build_factors_closure_once(monkeypatch, ex2_system, ex2_weights,
+                                    scheme, split):
+    # One build runs one real Schur factorization of the closure and takes
+    # its Hurwitz verdict from that factor: no eigenvalue call of its own.
+    counts = {"schur": 0, "eigvals": 0}
+
+    def counted(key, fn, query=lambda kwargs: False):
+        def wrapper(*args, **kwargs):
+            counts[key] += not query(kwargs)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # A dgees call with lwork=-1 is a workspace query, not a factorization.
+    monkeypatch.setattr(scipy.linalg.lapack, "dgees",
+                        counted("schur", scipy.linalg.lapack.dgees,
+                                lambda kwargs: kwargs.get("lwork") == -1))
+    for name in ("schur", "solve_continuous_lyapunov"):
+        monkeypatch.setattr(scipy.linalg, name, counted("schur", getattr(scipy.linalg, name)))
+    monkeypatch.setattr(scipy.linalg, "eigvals", counted("eigvals", scipy.linalg.eigvals))
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    fa = build_functional(ex2_system, ex2_weights, scheme, 20, split=split)
+    assert counts == {"schur": 1, "eigvals": 0}
+    assert fa.hurwitz and fa.max_re < 0.0
 
 
 def test_unsplit_cheb_build_passes_residual_gate(ex2_system, ex2_weights):

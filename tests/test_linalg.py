@@ -1,8 +1,14 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
-from helpers import kron_lyap_solve, newton_char_root, random_stable_matrix
+from helpers import (
+    kron_lyap_solve,
+    newton_char_root,
+    random_stable_matrix,
+    relative_residual,
+)
 from lkapprox import build_cheb_model, build_leg_model
 from lkapprox.linalg import (
     DimensionError,
@@ -73,15 +79,6 @@ def test_is_hurwitz_trivial():
     npt.assert_allclose(abscissa, 0.0, atol=1e-14)
 
 
-def test_is_hurwitz_margin():
-    ok, _ = is_hurwitz(np.diag([-1.0, -2.0]), margin=0.5)
-    assert ok
-    ok, _ = is_hurwitz(np.diag([-1.0, -2.0]), margin=1.5)
-    assert not ok
-    with pytest.raises(ValueError):
-        is_hurwitz(np.eye(2), margin=-1.0)
-
-
 def test_is_hurwitz_past_delay_margin(ex2_system):
     import dataclasses
 
@@ -91,18 +88,18 @@ def test_is_hurwitz_past_delay_margin(ex2_system):
 
 
 def test_solve_lyapunov_scalar():
-    npt.assert_allclose(solve_lyapunov(np.array([[-1.0]]), np.eye(1)), [[0.5]])
+    npt.assert_allclose(solve_lyapunov(np.array([[-1.0]]), np.eye(1)).P, [[0.5]])
 
 
 def test_solve_lyapunov_decoupled_diagonal():
-    P = solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2))
+    P = solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2)).P
     npt.assert_allclose(P, np.diag([0.5, 0.25]), atol=1e-14)
 
 
 def test_solve_lyapunov_kronecker_oracle_model(ex1_system):
     model = build_leg_model(ex1_system, 8)
     Q = np.diag([1.0] + [0.0] * 7 + [1.0])
-    P = solve_lyapunov(model.A, Q)
+    P = solve_lyapunov(model.A, Q).P
     P_kron = kron_lyap_solve(np.asarray(model.A), Q)
     npt.assert_allclose(P, P_kron, atol=1e-8 * np.max(np.abs(P)))
 
@@ -112,7 +109,7 @@ def test_solve_lyapunov_random_kronecker_agreement():
         A = random_stable_matrix(rng, d)
         Q = rng.standard_normal((d, d))
         Q = Q @ Q.T + 0.1 * np.eye(d)
-        P = solve_lyapunov(A, Q)
+        P = solve_lyapunov(A, Q).P
         npt.assert_array_equal(P, P.T)
         res = np.linalg.norm(P @ A + A.T @ P + Q, "fro")
         scale = max(1.0, np.linalg.norm(Q, "fro")
@@ -120,6 +117,26 @@ def test_solve_lyapunov_random_kronecker_agreement():
         assert res <= 1e-9 * scale
         npt.assert_allclose(P, kron_lyap_solve(A, Q),
                             atol=1e-8 * max(1.0, np.max(np.abs(P))))
+
+
+def test_solve_lyapunov_result_fields(ex2_system):
+    # P is SciPy's Bartels-Stewart solution bit for bit; the eigenvalues come
+    # from the same Schur factor and the residual is the gated one.
+    cases = [(np.asarray(build(ex2_system, 20).A), np.eye(42))
+             for build in (build_leg_model, build_cheb_model)]
+    for d in (1, 3, 13, 40):
+        Q = rng.standard_normal((d, d))
+        cases.append((random_stable_matrix(rng, d), Q @ Q.T + 0.1 * np.eye(d)))
+    for A, Q in cases:
+        sol = solve_lyapunov(A, Q)
+        ref = scipy.linalg.solve_continuous_lyapunov(A.T, -Q)
+        npt.assert_array_equal(sol.P, 0.5 * (ref + ref.T))
+        assert sol.residual == relative_residual(sol.P, A, Q)
+        lam = eigenvalues(A)
+        tol = 1e-10 * np.max(np.abs(lam))
+        gaps = np.abs(sol.eigenvalues[:, None] - lam[None, :])
+        assert sol.eigenvalues.shape == lam.shape
+        assert gaps.min(axis=0).max() <= tol and gaps.min(axis=1).max() <= tol
 
 
 def test_solve_lyapunov_singular_pairing():

@@ -41,7 +41,7 @@ def test_psi_delay_free_reduction():
     R = rng.standard_normal((3, 3))
     w = CostWeights(R @ R.T + 0.3 * np.eye(3), np.zeros((3, 3)), np.zeros((3, 3)))
     dl = build_delay_lyap(sys_, w)
-    npt.assert_allclose(dl(0.0), solve_lyapunov(A0, w.Q0), atol=1e-9)
+    npt.assert_allclose(dl(0.0), solve_lyapunov(A0, w.Q0).P, atol=1e-9)
 
 
 def test_psi_argument_range():
@@ -101,7 +101,7 @@ def test_kernels_vanish_without_delay_matrix():
     w = CostWeights(np.eye(2), np.eye(2), np.zeros((2, 2)))
     ker = kernels(build_delay_lyap(sys_, w), w)
     npt.assert_allclose(ker.corner,
-                        solve_lyapunov(sys_.A0, w.combined(sys_.h)), atol=1e-9)
+                        solve_lyapunov(sys_.A0, w.combined(sys_.h)).P, atol=1e-9)
     for t in (-0.9, -0.3):
         npt.assert_array_equal(ker.cross(t), np.zeros((2, 2)))
         npt.assert_array_equal(ker.double(t, -0.1), np.zeros((2, 2)))
