@@ -45,12 +45,10 @@ from .linalg import (
 )
 from .oracle import (
     DelayLyapunovMatrix,
-    Kernels,
     LyapunovConditionError,
     assemble_quad,
     build_delay_lyap,
     k1_quad,
-    kernels,
     property_residuals,
 )
 from .spectral import (

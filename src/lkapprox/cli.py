@@ -477,8 +477,11 @@ def cmd_validate(cfg, args):
     if dl is not None:
         for rule in ("cc", "gauss"):
             try:
-                k1s[f"quad_{rule}"] = oracle.k1_quad(
-                    dl, cfg.weights, rule=rule, N=N, check_psd=False
+                P = mats.get(f"quad_{rule}")
+                if P is None:
+                    P, _ = oracle.assemble_quad(dl, cfg.weights, rule=rule, N=N)
+                k1s[f"quad_{rule}"] = oracle.k1_of_quad_matrix(
+                    P, cfg.system.n, check_psd=False
                 )
             except _NUMERIC_ERRORS as exc:
                 report["failures"][f"k1_quad_{rule}"] = f"{type(exc).__name__}: {exc}"

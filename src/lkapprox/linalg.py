@@ -69,9 +69,10 @@ class RangeError(RuntimeError):
     """Result left the representable floating-point range."""
 
 
-def _as_square(A, name="A"):
+def _as_square(A, name="A", stacked=False):
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+    ndims = (2, 3) if stacked else (2,)
+    if A.ndim not in ndims or A.shape[-1] != A.shape[-2] or A.size == 0:
         raise DimensionError(f"{name} must be square and nonempty, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
@@ -240,8 +241,12 @@ def schur_complement(P, p, check_psd=True):
 
 
 def expm(A):
-    """Matrix exponential (scaling-and-squaring with Pade approximation)."""
-    A = _as_square(A)
+    """Matrix exponential (scaling-and-squaring with Pade approximation).
+
+    A is one square matrix or a stack of shape (k, d, d), which is
+    exponentiated matrix by matrix in one call.
+    """
+    A = _as_square(A, stacked=True)
     E = scipy.linalg.expm(A)
     if not np.all(np.isfinite(E)):
         raise RangeError("matrix exponential overflowed the floating-point range")

@@ -10,22 +10,21 @@ for everything the closures produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 
-from .linalg import expm
-from .linalg import schur_complement, sym_eigen
+from .linalg import ConvergenceError, expm, schur_complement, sym_eigen
 from .spectral import NodeSet, cheb_nodes, gauss_legendre
 
 __all__ = [
     "LyapunovConditionError",
     "DelayLyapunovMatrix",
     "build_delay_lyap",
-    "kernels",
-    "Kernels",
     "assemble_quad",
     "k1_quad",
+    "k1_of_quad_matrix",
     "property_residuals",
 ]
 
@@ -46,6 +45,12 @@ class DelayLyapunovMatrix:
     boundary conditions Z(h) = Y(0), Y(0) symmetric, and
     Y'(0) + Y'(0)' = -(Q0 + Q1 + h Q2).  Negative arguments are served
     through the symmetry Psi(-tau) = Psi(tau)'.
+
+    The stacked flow u(s) = (vec Y(s), vec Z(s)) = expm(M s) u0 is entire,
+    so it is stored as one Chebyshev series on [0, h] (`coef`, K terms)
+    interpolating u at K Gauss-Lobatto points.  The series is resolved to
+    the rounding error of its samples, which is that of a direct expm(M s):
+    about eps e^{rho(M) h} relative to the largest |u|.
     """
 
     system: object
@@ -53,24 +58,34 @@ class DelayLyapunovMatrix:
     M: np.ndarray          # generator of the stacked (vec Y, vec Z) flow
     u0: np.ndarray         # (vec Y(0), vec Z(0))
     cond: float
-    _cache: dict = field(default_factory=dict, repr=False)
+    coef: np.ndarray       # (K, 2 n^2) Chebyshev coefficients of u on [0, h]
+
+    @property
+    def K(self):
+        """Number of Chebyshev points of the interpolant."""
+        return self.coef.shape[0]
+
+    def pairs(self, s):
+        """(Y(s), Z(s)) for every s of a 1-d array in [0, h], as two stacks
+        of shape (len(s), n, n)."""
+        h = self.system.h
+        s = np.asarray(s, dtype=float).reshape(-1)
+        bad = ~((s >= -1e-12 * h) & (s <= h * (1.0 + 1e-12)))
+        if np.any(bad):
+            raise ValueError(f"argument {s[bad][0]} outside [0, {h}]")
+        s = np.clip(s, 0.0, h)
+        n = self.system.n
+        nn = n * n
+        u = chebvander(2.0 * s / h - 1.0, self.K - 1) @ self.coef
+        # Column-major vec: entry (i, j) sits at i + j*n.
+        Y = u[:, :nn].reshape(-1, n, n).transpose(0, 2, 1)
+        Z = u[:, nn:].reshape(-1, n, n).transpose(0, 2, 1)
+        return Y, Z
 
     def pair(self, s):
         """(Y(s), Z(s)) for s in [0, h]."""
-        h = self.system.h
-        s = float(s)
-        if s < -1e-12 * h or s > h * (1.0 + 1e-12):
-            raise ValueError(f"argument {s} outside [0, {h}]")
-        s = min(max(s, 0.0), h)
-        got = self._cache.get(s)
-        if got is None:
-            n = self.system.n
-            u = expm(self.M * s) @ self.u0
-            Y = u[: n * n].reshape(n, n, order="F")
-            Z = u[n * n:].reshape(n, n, order="F")
-            got = (Y, Z)
-            self._cache[s] = got
-        return got
+        Y, Z = self.pairs(float(s))
+        return Y[0], Z[0]
 
     def __call__(self, tau):
         """Psi(tau) for tau in [-h, h]."""
@@ -81,6 +96,64 @@ class DelayLyapunovMatrix:
         if tau >= 0.0:
             return self.pair(tau)[0]
         return self.pair(-tau)[0].T
+
+
+# Chopping rule for the Chebyshev series of the Psi flow (after Aurentz &
+# Trefethen, "Chopping a Chebyshev series", ACM TOMS 2017).  The series is
+# grown from _K_FIRST points by doubling.  Its tail is the largest of its
+# trailing quarter of coefficients, relative to the largest coefficient.
+# The series is accepted once the tail falls below _CHOP_TOL, or once it
+# has reached the rounding floor of its samples and stopped shrinking
+# (less than tenfold in a doubling): more points then only resample the
+# rounding error.  The floor is eps max_s ||expm(M s)|| ||u0|| relative to
+# the largest coefficient, the rounding bound of a direct expm(M s) u0.
+# A tail that stalls above the floor is not a plateau: oscillatory modes
+# e^{i w s} keep Chebyshev coefficients of size J_k(w h / 2), flat until
+# k ~ w h / 2.  _K_CAP bounds the sample stack; a series still above its
+# floor there raises ConvergenceError.
+_CHOP_TOL = 1e-14
+_K_FIRST = 16
+_K_CAP = 256
+
+
+def _lobatto_series(M, u0, h, K):
+    """Chebyshev coefficients of the degree K-1 interpolant of
+    u(s) = expm(M s) u0 at the K Gauss-Lobatto points of [0, h], and the
+    rounding bound eps max_k ||expm(M s_k)|| ||u0|| of the samples (inf-norms)."""
+    N = K - 1
+    s = cheb_nodes(N, h).nodes + h
+    E = expm(s[:, None, None] * M)
+    samples = E @ u0
+    noise = (np.finfo(float).eps * float(np.abs(E).sum(axis=2).max())
+             * float(np.abs(u0).max()))
+    # DCT-I of the values at the descending points cos(j pi / N), as the
+    # FFT of their even extension.
+    d = samples[::-1]
+    coef = np.fft.rfft(np.concatenate([d, d[-2:0:-1]]), axis=0).real / N
+    coef[[0, -1]] *= 0.5
+    return coef, noise
+
+
+def _flow_series(M, u0, h):
+    """The chopped Chebyshev series of u(s) = expm(M s) u0 on [0, h]."""
+    K = _K_FIRST
+    prev_tail = np.inf
+    while True:
+        coef, noise = _lobatto_series(M, u0, h, K)
+        size = np.max(np.abs(coef), axis=1)
+        top = max(float(size.max()), np.finfo(float).tiny)
+        tail = float(size[-(K // 4):].max()) / top
+        if tail <= _CHOP_TOL:
+            return coef
+        if tail <= noise / top and (tail > 0.1 * prev_tail or K >= _K_CAP):
+            return coef
+        if K >= _K_CAP:
+            raise ConvergenceError(
+                f"Chebyshev series of Psi unresolved at {K} points "
+                f"(tail {tail:.1e}, rounding floor {noise / top:.1e})"
+            )
+        prev_tail = tail
+        K *= 2
 
 
 def build_delay_lyap(system, weights):
@@ -145,34 +218,8 @@ def build_delay_lyap(system, weights):
             f"boundary system is numerically singular (cond = {cond:.3e}); "
             "the delay system violates the Lyapunov condition"
         )
-    return DelayLyapunovMatrix(system=system, Qtilde=Qt, M=M, u0=u0, cond=cond)
-
-
-@dataclass(frozen=True)
-class Kernels:
-    """The quadratic kernels of V in terms of Psi."""
-
-    corner: np.ndarray   # Psi(0)
-    cross: object        # theta -> Psi(-h - theta) A1
-    double: object       # (xi, theta) -> A1' Psi(xi - theta) A1
-    point: object        # theta -> Q1 + (h + theta) Q2
-
-
-def kernels(dl, weights):
-    A1 = dl.system.A1
-    h = dl.system.h
-    Q1, Q2 = weights.Q1, weights.Q2
-
-    def cross(theta):
-        return dl(-h - theta) @ A1
-
-    def double(xi, theta):
-        return A1.T @ dl(xi - theta) @ A1
-
-    def point(theta):
-        return Q1 + (h + theta) * Q2
-
-    return Kernels(corner=dl(0.0), cross=cross, double=double, point=point)
+    return DelayLyapunovMatrix(system=system, Qtilde=Qt, M=M, u0=u0, cond=cond,
+                               coef=_flow_series(M, u0, h))
 
 
 def assemble_quad(dl, weights, rule="cc", N=40):
@@ -183,6 +230,14 @@ def assemble_quad(dl, weights, rule="cc", N=40):
     an appended zero-weight endpoint, so the matrix keeps the same
     (nN + n)-block shape and the lower-bound elimination applies unchanged.
 
+    Block (j, k) over the quadrature nodes is w_j w_k A1' Psi(t_j - t_k) A1
+    plus w_j (Q1 + (h + t_j) Q2) on the diagonal; the endpoint row holds
+    w_k Psi(-h - t_k) A1 and the corner Psi(0).  Every Psi value comes from
+    one `pairs` call on the differences t_k - t_j >= 0 (j <= k), h + t_k
+    and 0; the lower triangle follows from Psi(-tau) = Psi(tau)'.  Psi is
+    the Chebyshev interpolant of DelayLyapunovMatrix, accurate to the
+    rounding level of a direct expm.
+
     Accuracy floor: the double kernel A1' Psi(xi - theta) A1 has a derivative
     kink on the diagonal xi = theta, which a tensor rule does not resolve, so
     either rule converges only at O(N^-2) there.  At Gauss N=160 the error
@@ -190,8 +245,7 @@ def assemble_quad(dl, weights, rule="cc", N=40):
     a spectral reference for the tau closure.
     """
     system = dl.system
-    n, h = system.n, system.h
-    ker = kernels(dl, weights)
+    n, h, A1 = system.n, system.h, system.A1
     if rule == "cc":
         grid = cheb_nodes(int(N), h)
     elif rule == "gauss":
@@ -204,46 +258,40 @@ def assemble_quad(dl, weights, rule="cc", N=40):
     else:
         raise ValueError(f"unknown quadrature rule {rule!r}")
 
-    t = grid.nodes
-    w = grid.weights
-    m = t.size
-    d = n * m
-    P = np.zeros((d, d))
+    m = len(grid)
+    q = m if rule == "cc" else m - 1   # the gauss0 endpoint carries no weight
+    t, w = grid.nodes[:q], grid.weights[:q]
+    j, k = np.triu_indices(q)
+    Y = dl.pairs(np.concatenate([t[k] - t[j], h + t, [0.0]]))[0]
+    psi_double = Y[:j.size].transpose(0, 2, 1)      # Psi(t_j - t_k), j <= k
+    psi_cross = Y[j.size:-1].transpose(0, 2, 1)     # Psi(-h - t_k)
 
-    def blk(j, k):
-        return slice(j * n, (j + 1) * n), slice(k * n, (k + 1) * n)
-
-    quad_idx = range(m) if rule == "cc" else range(m - 1)
-    for j in quad_idx:
-        rj, _ = blk(j, j)
-        for k in quad_idx:
-            if k < j:
-                continue
-            K = w[j] * w[k] * ker.double(t[j], t[k])
-            _, ck = blk(j, k)
-            P[rj, ck] += K
-            if k != j:
-                rk, cj = blk(k, j)
-                P[rk, cj] += K.T
-        P[rj, rj] += w[j] * ker.point(t[j])
-
-    last = slice(d - n, d)
-    for k in quad_idx:
-        _, ck = blk(0, k)
-        C = ker.cross(t[k]) * w[k]
-        P[last, ck] += C
-        P[ck, last] += C.T
-    P[last, last] += ker.corner
+    blocks = np.zeros((m, m, n, n))
+    upper = (w[j] * w[k])[:, None, None] * (A1.T @ psi_double @ A1)
+    blocks[k, j] = upper.transpose(0, 2, 1)
+    blocks[j, k] = upper
+    diag = np.arange(q)
+    blocks[diag, diag] += w[:, None, None] * (
+        weights.Q1 + (h + t)[:, None, None] * weights.Q2)
+    cross = w[:, None, None] * (psi_cross @ A1)
+    blocks[-1, :q] += cross
+    blocks[:q, -1] += cross.transpose(0, 2, 1)
+    blocks[-1, -1] += Y[-1]
+    P = blocks.transpose(0, 2, 1, 3).reshape(n * m, n * m)
     return 0.5 * (P + P.T), grid
+
+
+def k1_of_quad_matrix(P, n, check_psd=True):
+    """Lower-bound coefficient of a quadrature matrix from assemble_quad:
+    the least eigenvalue of the Schur complement eliminating the history."""
+    S = schur_complement(P, P.shape[0] - n, check_psd=check_psd)
+    return float(sym_eigen(S).eigenvalues[0])
 
 
 def k1_quad(dl, weights, rule="cc", N=40, check_psd=True):
     """Lower-bound coefficient computed from the quadrature matrix."""
-    P, grid = assemble_quad(dl, weights, rule=rule, N=N)
-    n = dl.system.n
-    p = P.shape[0] - n
-    S = schur_complement(P, p, check_psd=check_psd)
-    return float(sym_eigen(S).eigenvalues[0])
+    P, _ = assemble_quad(dl, weights, rule=rule, N=N)
+    return k1_of_quad_matrix(P, dl.system.n, check_psd=check_psd)
 
 
 def property_residuals(dl, points=25):
@@ -252,29 +300,30 @@ def property_residuals(dl, points=25):
     dynamic: central-difference check of Psi' = Psi(.) A0 + Psi(. - h) A1 at
     interior points of (0, h); symmetry: the propagated Z(s) against the
     reflected Y(h - s)'; algebraic: Y'(0) + Y'(0)' + (Q0 + Q1 + h Q2).
+    All arguments are evaluated in one `pairs` call.
     """
     system = dl.system
     A0, A1, h = system.A0, system.A1, system.h
-    psi0 = dl(0.0)
-    scale = max(1.0, float(np.linalg.norm(psi0, "fro"))
-                * (1.0 + float(np.linalg.norm(A0, 2)) + float(np.linalg.norm(A1, 2))))
     delta = 1e-5 * h
     taus = np.linspace(0.0, h, points + 2)[1:-1]
+    grid = np.linspace(0.0, h, points)
+    args = [taus + delta, taus - delta, taus, h - taus, h - grid, grid, [0.0]]
+    cuts = np.cumsum([len(a) for a in args])[:-1]
+    Y, Z = dl.pairs(np.concatenate(args))
+    Y_plus, Y_minus, Y_tau, Y_back, Y_refl, _, Y0 = np.split(Y, cuts)
+    Z_prop, Z0 = np.split(Z, cuts)[5:]
+    psi0, Z0 = Y0[0], Z0[0]
 
-    dyn = 0.0
-    for tau in taus:
-        dpsi = (dl(tau + delta) - dl(tau - delta)) / (2.0 * delta)
-        rhs = dl(tau) @ A0 + dl(tau - h) @ A1
-        dyn = max(dyn, float(np.linalg.norm(dpsi - rhs, "fro")))
+    def fro(X):
+        return float(np.max(np.linalg.norm(X, "fro", axis=(1, 2))))
 
-    sym = 0.0
-    for s in np.linspace(0.0, h, points):
-        Y_refl = dl.pair(h - s)[0]
-        Z_prop = dl.pair(s)[1]
-        sym = max(sym, float(np.linalg.norm(Z_prop - Y_refl.T, "fro")))
+    scale = max(1.0, float(np.linalg.norm(psi0, "fro"))
+                * (1.0 + float(np.linalg.norm(A0, 2)) + float(np.linalg.norm(A1, 2))))
+    dpsi = (Y_plus - Y_minus) / (2.0 * delta)
+    dyn = fro(dpsi - (Y_tau @ A0 + Y_back.transpose(0, 2, 1) @ A1))
+    sym = fro(Z_prop - Y_refl.transpose(0, 2, 1))
 
-    Y0, Z0 = dl.pair(0.0)
-    dY0 = Y0 @ A0 + Z0 @ A1
+    dY0 = psi0 @ A0 + Z0 @ A1
     alg = float(np.linalg.norm(dY0 + dY0.T + dl.Qtilde, "fro"))
 
     return {

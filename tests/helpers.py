@@ -2,17 +2,21 @@
 
 Everything here is an independent route to a quantity the library also
 computes: Newton-refined characteristic roots, a Kronecker-vectorization
-Lyapunov solve, the relative residual of a Lyapunov solution, and
+Lyapunov solve, the relative residual of a Lyapunov solution, the
+kernels of V as scalar closures over Psi and the block-by-block loop
+assembly of the quadrature matrix of V from them, and
 high-order quadrature of the functional's integral formula (V of one
 segment, and the Legendre-Galerkin matrix behind k1) with the integration
 domain split at the kernel's diagonal kink.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from lkapprox import RfdeSystem
 from lkapprox.linalg import schur_complement, sym_eigen
-from lkapprox.spectral import gauss_legendre, legendre_vals
+from lkapprox.spectral import NodeSet, cheb_nodes, gauss_legendre, legendre_vals
 
 
 def newton_char_root(seed, A0, A1, h, iters=80):
@@ -73,6 +77,80 @@ def relative_residual(P, A, Q):
         + 2.0 * float(np.linalg.norm(A, "fro")) * float(np.linalg.norm(P, "fro")),
     )
     return res / scale
+
+
+@dataclass(frozen=True)
+class Kernels:
+    """The quadratic kernels of V in terms of Psi."""
+
+    corner: np.ndarray   # Psi(0)
+    cross: object        # theta -> Psi(-h - theta) A1
+    double: object       # (xi, theta) -> A1' Psi(xi - theta) A1
+    point: object        # theta -> Q1 + (h + theta) Q2
+
+
+def kernels(dl, weights):
+    """The kernels of V as scalar closures over `dl`, one Psi call each."""
+    A1 = dl.system.A1
+    h = dl.system.h
+    Q1, Q2 = weights.Q1, weights.Q2
+
+    def cross(theta):
+        return dl(-h - theta) @ A1
+
+    def double(xi, theta):
+        return A1.T @ dl(xi - theta) @ A1
+
+    def point(theta):
+        return Q1 + (h + theta) * Q2
+
+    return Kernels(corner=dl(0.0), cross=cross, double=double, point=point)
+
+
+def loop_assemble_quad(dl, weights, rule="cc", N=40):
+    """Reference for `oracle.assemble_quad`: the same quadrature matrix,
+    filled block by block from the scalar kernels of `kernels` in a
+    double loop over the node pairs."""
+    system = dl.system
+    n, h = system.n, system.h
+    ker = kernels(dl, weights)
+    if rule == "cc":
+        grid = cheb_nodes(int(N), h)
+    else:
+        g = gauss_legendre(int(N), h)
+        grid = NodeSet("gauss0", h, np.append(g.nodes, 0.0), np.append(g.weights, 0.0))
+
+    t = grid.nodes
+    w = grid.weights
+    m = t.size
+    d = n * m
+    P = np.zeros((d, d))
+
+    def blk(j, k):
+        return slice(j * n, (j + 1) * n), slice(k * n, (k + 1) * n)
+
+    quad_idx = range(m) if rule == "cc" else range(m - 1)
+    for j in quad_idx:
+        rj, _ = blk(j, j)
+        for k in quad_idx:
+            if k < j:
+                continue
+            K = w[j] * w[k] * ker.double(t[j], t[k])
+            _, ck = blk(j, k)
+            P[rj, ck] += K
+            if k != j:
+                rk, cj = blk(k, j)
+                P[rk, cj] += K.T
+        P[rj, rj] += w[j] * ker.point(t[j])
+
+    last = slice(d - n, d)
+    for k in quad_idx:
+        _, ck = blk(0, k)
+        C = ker.cross(t[k]) * w[k]
+        P[last, ck] += C
+        P[ck, last] += C.T
+    P[last, last] += ker.corner
+    return 0.5 * (P + P.T), grid
 
 
 def quad_V(dl, weights, phi, m=60):

@@ -10,6 +10,7 @@ import pytest
 
 from lkapprox import cli
 from lkapprox.cli import main
+from lkapprox.oracle import build_delay_lyap, k1_quad
 
 
 def run(capsys, *argv):
@@ -324,9 +325,14 @@ def test_build_no_split_meta(tmp_path, capsys):
     assert meta["residual"] <= 1e-9
 
 
-def test_validate_example1(capsys):
+def test_validate_example1(capsys, ex1_system, ex1_weights):
     report = run_json(capsys, "validate", "--config", "example1", "-N", "40")
     assert report["failures"] == {}
+    # The CC k1 comes from the matrix behind matrix_deviation, unchanged.
+    dl = build_delay_lyap(ex1_system, ex1_weights)
+    for rule in ("cc", "gauss"):
+        assert report["k1"][f"quad_{rule}"] == k1_quad(
+            dl, ex1_weights, rule=rule, N=40, check_psd=False)
     dev = report["matrix_deviation"]["legendre_vs_quad_cc"]
     assert dev <= 5e-2 * report["matrix_scale"]
     res = report["psi_residuals"]

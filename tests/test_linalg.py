@@ -13,6 +13,7 @@ from lkapprox import build_cheb_model, build_leg_model
 from lkapprox.linalg import (
     DimensionError,
     NumericalFailureError,
+    RangeError,
     SingularOperatorError,
     eigenvalues,
     expm,
@@ -245,3 +246,15 @@ def test_expm_symmetric_accuracy():
         ew, V = np.linalg.eigh(S)
         ref = (V * np.exp(ew)) @ V.T
         npt.assert_allclose(expm(S), ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+
+
+def test_expm_stack_matches_per_matrix():
+    A = rng.standard_normal((4, 3, 3))
+    E = expm(A)
+    assert E.shape == (4, 3, 3)
+    for a, e in zip(A, E):
+        npt.assert_array_equal(e, expm(a))
+    with pytest.raises(RangeError), np.errstate(over="ignore"):
+        expm(np.stack([np.zeros((2, 2)), 1e3 * np.eye(2)]))
+    with pytest.raises(DimensionError):
+        expm(np.zeros((2, 2, 3)))

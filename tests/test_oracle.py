@@ -1,18 +1,26 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
-from helpers import gram_psi, quad_k1, random_stable_matrix, random_stable_rfde
+from helpers import (
+    gram_psi,
+    kernels,
+    loop_assemble_quad,
+    quad_k1,
+    random_stable_matrix,
+    random_stable_rfde,
+)
 from lkapprox import CostWeights, RfdeSystem, build_functional
-from lkapprox.linalg import solve_lyapunov
+from lkapprox.linalg import ConvergenceError, solve_lyapunov
 from lkapprox.oracle import (
     LyapunovConditionError,
     assemble_quad,
     build_delay_lyap,
     k1_quad,
-    kernels,
     property_residuals,
 )
 from lkapprox.spectral import cheb_nodes, legendre_vals, transform_leg_to_chebvals
@@ -52,6 +60,83 @@ def test_psi_argument_range():
         dl(-1.5)
     with pytest.raises(ValueError):
         dl.pair(-0.5)
+    with pytest.raises(ValueError):
+        dl.pairs([0.0, 0.5, 1.5])
+    with pytest.raises(ValueError):
+        dl.pairs([0.5, np.nan])
+
+
+def _interpolant_cases():
+    A0 = np.array([[-2.0, 0.0], [0.0, -0.9]])
+    A1 = np.array([[-1.0, 0.0], [-1.0, -1.0]])
+    cases = {f"ex2-h{h}": RfdeSystem(A0, A1, h) for h in (2.0, 6.15)}
+    draws = np.random.default_rng(20240821)
+    systems = [random_stable_rfde(draws) for _ in range(19)]
+    # rho(M) h reaches ~18 on draws 10 and 18, ~9.5 on draw 15.
+    cases.update({f"draw{i}": systems[i] for i in (10, 15, 18)})
+    # Im(eig A0) h = 60: the Chebyshev coefficients stay flat (Bessel
+    # J_k(30)) until k ~ 30 before they decay, so K = 32 is no plateau.
+    cases["oscillatory"] = RfdeSystem([[-1.0, 10.0], [-10.0, -1.0]], 0.1 * np.eye(2), 6.0)
+    return cases
+
+
+_INTERPOLANT_CASES = _interpolant_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_INTERPOLANT_CASES))
+def test_psi_interpolant_matches_extended_precision(case):
+    # The flow u(s) = expm(M s) u0 at 30 digits is the reference.  The
+    # Chebyshev interpolant may lose no more than a direct double-precision
+    # expm(M s) u0 does at the same points (both carry eps e^{rho(M) h}).
+    system = _INTERPOLANT_CASES[case]
+    w = CostWeights(np.eye(2), np.eye(2), np.zeros((2, 2)))
+    dl = build_delay_lyap(system, w)
+    assert dl.K <= (128 if case == "oscillatory" else 64)
+    points = np.linspace(0.0, system.h, 13)
+    Y, Z = dl.pairs(points)
+    got = np.concatenate([Y.transpose(0, 2, 1).reshape(13, -1),
+                          Z.transpose(0, 2, 1).reshape(13, -1)], axis=1)
+    direct = np.array([scipy.linalg.expm(dl.M * s) @ dl.u0 for s in points])
+    with mpmath.workdps(30):
+        M, u0 = mpmath.matrix(dl.M.tolist()), mpmath.matrix(dl.u0.tolist())
+        ref = np.array([
+            np.array((mpmath.expm(M * mpmath.mpf(float(s))) * u0).tolist(),
+                     dtype=float).ravel()
+            for s in points
+        ])
+    scale = float(np.max(np.abs(ref)))
+    err_interp = float(np.max(np.abs(got - ref)))
+    err_direct = float(np.max(np.abs(direct - ref)))
+    assert err_interp <= max(2.0 * err_direct, 1e-13 * scale), (err_interp, err_direct)
+
+
+def test_psi_interpolant_unresolved_raises():
+    # Im(eig A0) h = 600 needs more Chebyshev points than the cap allows.
+    system = RfdeSystem([[-1.0, 100.0], [-100.0, -1.0]], 0.1 * np.eye(2), 6.0)
+    with pytest.raises(ConvergenceError):
+        build_delay_lyap(system, _unit_weights(2))
+
+
+def test_oracle_expm_calls_do_not_grow_with_N(monkeypatch, ex2_system, ex2_weights):
+    # Psi is one Chebyshev interpolant built at construction: the oracle's
+    # matrix exponentials do not depend on how many arguments it serves.
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return expm(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    totals = []
+    for N in (10, 80):
+        calls.clear()
+        dl = build_delay_lyap(ex2_system, ex2_weights)
+        for rule in ("cc", "gauss"):
+            assemble_quad(dl, ex2_weights, rule=rule, N=N)
+        property_residuals(dl)
+        totals.append(len(calls))
+    assert totals[0] == totals[1] < 8, totals
 
 
 @pytest.mark.parametrize("fixture", ["ex1", "ex2"])
@@ -138,6 +223,21 @@ def test_assemble_quad_grid_shapes(ex2_system, ex2_weights):
     npt.assert_array_equal(P_g, P_g.T)
     with pytest.raises(ValueError):
         assemble_quad(dl, ex2_weights, rule="simpson", N=8)
+
+
+@pytest.mark.parametrize("rule", ["cc", "gauss"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_assemble_quad_matches_loop_reference(rule, n):
+    local = np.random.default_rng(100 + n)
+    system = random_stable_rfde(local, n)
+    R = [local.standard_normal((n, n)) for _ in range(3)]
+    w = CostWeights(*(r @ r.T + 0.1 * np.eye(n) for r in R))
+    dl = build_delay_lyap(system, w)
+    for N in (1, 2, 7, 40):
+        P, grid = assemble_quad(dl, w, rule=rule, N=N)
+        P_ref, grid_ref = loop_assemble_quad(dl, w, rule=rule, N=N)
+        npt.assert_array_equal(grid.nodes, grid_ref.nodes)
+        assert np.max(np.abs(P - P_ref)) <= 1e-13 * np.max(np.abs(P_ref)), N
 
 
 def test_assemble_quad_matches_spectral_build(ex1_system, ex1_weights):
