@@ -13,6 +13,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .discretize import (
     CostWeights,
@@ -29,6 +30,7 @@ from .discretize import (
 from .linalg import (
     ConvergenceError,
     DimensionError,
+    _is_psd,
     is_hurwitz,
     schur_complement,
     solve_lyapunov,
@@ -55,7 +57,8 @@ class FunctionalApprox:
     coefficient matrix for "legendre".  `residual` (gated by `solve_lyapunov`)
     and `hurwitz`/`max_re` come from the build's one Lyapunov solve;
     `lam_min`/`lam_max` are the extreme eigenvalues of P, and `psd` is the
-    verdict lam_min >= -1e-8 max(|lam_min|, |lam_max|) of `schur_complement`.
+    scale-free verdict lam_min >= -1e-8 max(|lam_min|, |lam_max|) that
+    `schur_complement` also applies.
     """
 
     scheme: str
@@ -154,12 +157,11 @@ def build_functional(system, weights, scheme="legendre", N=20, *,
     max_re = float(np.max(sol.eigenvalues.real))
     ew = np.linalg.eigvalsh(0.5 * (P + P.T))
     lam_min, lam_max = float(ew[0]), float(ew[-1])
-    psd = lam_min >= -1e-8 * max(abs(lam_min), abs(lam_max))
     return FunctionalApprox(
         scheme=scheme, system=system, weights=weights, N=N, split=split,
         model=model, P=P, residual=sol.residual,
         hurwitz=max_re < 0.0, max_re=max_re,
-        lam_min=lam_min, lam_max=lam_max, psd=psd,
+        lam_min=lam_min, lam_max=lam_max, psd=_is_psd(lam_min, lam_max),
     )
 
 
@@ -202,9 +204,12 @@ def baseline_k1(system, weights, method="norm-ratio"):
 
     "norm-ratio": min(lam_min(Q0)/(2||A0|| + ||A1||), lam_min(Q1)/||A1||),
     with the second ratio +inf for a delay-free system (A1 = 0).
-    "alpha-max": the largest alpha keeping
-    blkdiag(Q0, Q1) + alpha [[A0' + A0, A1], [A1', 0]] positive semidefinite,
-    located by bisection (tolerance 1e-8).
+    "alpha-max": the largest alpha keeping S + alpha M positive
+    semidefinite, S = blkdiag(Q0, Q1) and M = [[A0' + A0, A1], [A1', 0]].
+    For S > 0 it is -1/mu_min of the pencil (M, S), from one symmetric
+    definite eigensolve; a singular S is reduced to its range (see
+    `_range_pencil`).  Raises ConvergenceError when mu_min >= 0, where no
+    finite alpha bounds the feasible set.
     """
     if weights.n != system.n:
         raise DimensionError("weights and system dimensions differ")
@@ -220,45 +225,46 @@ def baseline_k1(system, weights, method="norm-ratio"):
     if method != "alpha-max":
         raise ValueError(f"unknown baseline method {method!r}")
 
-    S = np.zeros((2 * n, 2 * n))
-    S[:n, :n] = weights.Q0
-    S[n:, n:] = weights.Q1
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = system.A0.T + system.A0
-    M[:n, n:] = system.A1
-    M[n:, :n] = system.A1.T
-
-    def _feasible(alpha):
-        ew = sym_eigen(S + alpha * M).eigenvalues
-        scale = max(1.0, float(abs(ew[-1])))
-        return ew[0] >= -1e-12 * scale
-
-    lam_min_S = float(np.linalg.eigvalsh(S)[0])
-    if lam_min_S < 0.0:
-        raise ValueError("blkdiag(Q0, Q1) must be positive semidefinite")
-    norm_M = float(np.linalg.norm(M, 2))
-    hi = lam_min_S / max(1e-300, norm_M)
-    if hi <= 0.0:
-        # Singular blkdiag(Q0, Q1): the natural seed vanishes, but the
-        # feasible alpha interval can still be a proper [0, alpha*].
-        hi = 1e-8
-    lo = 0.0
-    for _ in range(200):
-        if not _feasible(hi):
-            break
-        lo = hi
-        hi *= 2.0
-    else:
+    S = scipy.linalg.block_diag(weights.Q0, weights.Q1)
+    M = np.block([[system.A0.T + system.A0, system.A1],
+                  [system.A1.T, np.zeros((n, n))]])
+    try:
+        mu = scipy.linalg.eigh(M, S, eigvals_only=True)
+    except np.linalg.LinAlgError:
+        mu = _range_pencil(S, M)
+        if mu is None:
+            return 0.0
+    if mu.size == 0 or mu[0] >= 0.0:
         raise ConvergenceError(
             "no finite feasibility bound for alpha; the loss matrix is not sign-definite"
         )
-    while hi - lo > 1e-8 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if _feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return float(-1.0 / mu[0])
+
+
+def _range_pencil(S, M):
+    """Eigenvalues (ascending) of the pencil (M, S) reduced to the range of a
+    singular S >= 0, or None when S + alpha M is indefinite for every alpha > 0.
+
+    In an eigenbasis of S split into range r and kernel k, S + alpha M >= 0
+    for an alpha > 0 needs M_kk >= 0 and M_kr in the range of M_kk; it then
+    holds exactly while S_r + alpha (M_rr - M_rk M_kk^+ M_kr) >= 0.  Both
+    kernels are cut at 2n eps relative to the scale of their matrix.
+    """
+    s, U = np.linalg.eigh(S)
+    if not _is_psd(float(s[0]), float(s[-1])):
+        raise ValueError("blkdiag(Q0, Q1) must be positive semidefinite")
+    tol = S.shape[0] * np.finfo(float).eps
+    ran = s > tol * s[-1]
+    Mu = U.T @ M @ U
+    m, V = np.linalg.eigh(Mu[~ran][:, ~ran])
+    C = V.T @ Mu[~ran][:, ran]   # M_kr in the eigenbasis of M_kk
+    cut = tol * np.linalg.norm(M)
+    live = m > cut
+    if m.min(initial=0.0) < -cut or np.abs(C[~live]).max(initial=0.0) > cut:
+        return None
+    R = Mu[ran][:, ran] - C[live].T @ (C[live] / m[live, None])
+    r = 1.0 / np.sqrt(s[ran])
+    return np.linalg.eigvalsh(r[:, None] * R * r)
 
 
 def critical_delay(system, scheme="legendre", N=20, bracket=(1.0, 10.0), tol=1e-4):

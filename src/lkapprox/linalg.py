@@ -190,12 +190,19 @@ def sym_eigen(S):
     return SymEigen(w, V)
 
 
+def _is_psd(lam_min, lam_max):
+    """The scale-free positivity verdict lam_min >= -1e-8 max(|lam_min|, |lam_max|)."""
+    return lam_min >= -1e-8 * max(abs(lam_min), abs(lam_max))
+
+
 def schur_complement(P, p, check_psd=True):
     """Generalized Schur complement X - B^T Z^+ B of the leading p x p block.
 
-    P is partitioned as [[Z, B], [B^T, X]] with Z of order p.  When Z is well
-    conditioned (lam_min > 1e-10 lam_max) a direct solve is used; otherwise
-    Z^+ is formed from the eigendecomposition with rank cutoff
+    P is partitioned as [[Z, B], [B^T, X]] with Z of order p.  Z is factored
+    once by Cholesky, Z = R^T R (LAPACK dpotrf), and the complement is
+    X - G^T G with G = R^-T B.  Where the factorization fails or LAPACK's
+    reciprocal condition estimate (dpocon) is at most 1e-10, Z^+ is formed
+    from the eigendecomposition of Z instead, with rank cutoff
     p * eps * lam_max(Z).
 
     Parameters
@@ -214,8 +221,8 @@ def schur_complement(P, p, check_psd=True):
 
     if check_psd:
         w = np.linalg.eigvalsh(P)
-        nrm2 = max(abs(float(w[0])), abs(float(w[-1])))
-        if w[0] < -1e-8 * nrm2:
+        if not _is_psd(float(w[0]), float(w[-1])):
+            nrm2 = max(abs(float(w[0])), abs(float(w[-1])))
             raise ValueError(
                 f"P is indefinite (lam_min = {w[0]:.3e}, ||P||_2 = {nrm2:.3e})"
             )
@@ -226,12 +233,22 @@ def schur_complement(P, p, check_psd=True):
     Z = P[:p, :p]
     B = P[:p, p:]
     X = P[p:, p:]
-    zw, zV = sym_eigen(Z)
-    zmax = float(zw[-1])
-    if zmax > 0.0 and float(zw[0]) > 1e-10 * zmax:
-        S = X - B.T @ np.linalg.solve(Z, B)
+    try:
+        R = np.linalg.cholesky(Z).T   # Z = R^T R; the transpose is Fortran-ordered
+    except np.linalg.LinAlgError:
+        rcond = 0.0
     else:
-        cutoff = p * np.finfo(float).eps * max(zmax, 0.0)
+        rcond = scipy.linalg.lapack.dpocon(R, np.abs(Z).sum(axis=0).max())[0]
+    if rcond > 1e-10:
+        # G = R^-T B by level-2 dtrsv per column, on the calling thread: NumPy
+        # and SciPy link separate OpenBLAS builds, and a threaded SciPy dtrsm
+        # right after NumPy's threaded Cholesky waits on the other pool's
+        # spinning workers (d = 246, 2 cores: median 3.3 ms against 0.2 ms).
+        G = np.column_stack([scipy.linalg.blas.dtrsv(R, b, trans=1) for b in B.T])
+        S = X - G.T @ G
+    else:
+        zw, zV = sym_eigen(Z)
+        cutoff = p * np.finfo(float).eps * max(float(zw[-1]), 0.0)
         inv = np.zeros_like(zw)
         keep = zw > cutoff
         inv[keep] = 1.0 / zw[keep]

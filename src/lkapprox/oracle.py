@@ -163,54 +163,28 @@ def build_delay_lyap(system, weights):
     Qt = weights.combined(h)
     eye = np.eye(n)
 
+    # Column-major vec: entry (i, j) of Y sits at i + j*n, so
+    # vec(Y A) = kron(A', I) vec Y, vec(A' Y) = kron(I, A') vec Y and
+    # vec(Y') = Pi vec Y with the commutation permutation Pi.
     nn = n * n
-    M = np.zeros((2 * nn, 2 * nn))
-    M[:nn, :nn] = np.kron(A0.T, eye)
-    M[:nn, nn:] = np.kron(A1.T, eye)
-    M[nn:, :nn] = -np.kron(eye, A1.T)
-    M[nn:, nn:] = -np.kron(eye, A0.T)
+    A0x, xA0 = np.kron(A0.T, eye), np.kron(eye, A0.T)
+    A1x, xA1 = np.kron(A1.T, eye), np.kron(eye, A1.T)
+    M = np.block([[A0x, A1x], [-xA1, -xA0]])
     E = expm(M * h)
+    Pi = np.arange(nn).reshape(n, n).T.reshape(-1)
 
-    # Column-major vec: entry (i, j) of Y sits at i + j*n.
-    def _y(i, j):
-        return i + j * n
-
-    def _z(i, j):
-        return nn + i + j * n
-
-    rows = []
-    rhs = []
     # Z(h) = Y(0): the propagated lower half minus the initial upper half.
     C = E[nn:, :].copy()
     C[:, :nn] -= np.eye(nn)
-    rows.append(C)
-    rhs.extend([0.0] * nn)
-    # Y(0) symmetric.
-    sym = np.zeros((n * (n - 1) // 2, 2 * nn))
-    r = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            sym[r, _y(i, j)] = 1.0
-            sym[r, _y(j, i)] = -1.0
-            r += 1
-    rows.append(sym)
-    rhs.extend([0.0] * r)
+    # Y(0) symmetric: Y[i, j] - Y[j, i] = 0 for i < j.
+    i, j = np.triu_indices(n, 1)
+    sym = np.hstack([np.eye(nn) - np.eye(nn)[Pi], np.zeros((nn, nn))])[i + j * n]
     # Y0 A0 + A0' Y0 + Z0 A1 + A1' Z0' = -Qt, upper triangle.
-    alg = np.zeros((n * (n + 1) // 2, 2 * nn))
-    r = 0
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                alg[r, _y(i, k)] += A0[k, j]
-                alg[r, _y(k, j)] += A0[k, i]
-                alg[r, _z(i, k)] += A1[k, j]
-                alg[r, _z(j, k)] += A1[k, i]
-            rhs.append(-Qt[i, j])
-            r += 1
-    rows.append(alg)
+    i, j = np.triu_indices(n)
+    alg = np.hstack([A0x + xA0, A1x + xA1[:, Pi]])[i + j * n]
 
-    B = np.vstack(rows)
-    b = np.asarray(rhs)
+    B = np.vstack([C, sym, alg])
+    b = np.concatenate([np.zeros(nn + sym.shape[0]), -Qt[i, j]])
     u0, _, rank, sv = np.linalg.lstsq(B, b, rcond=None)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else np.inf
     if rank < 2 * nn or not np.isfinite(cond) or cond > 1e12:

@@ -4,7 +4,8 @@ Everything here is an independent route to a quantity the library also
 computes: Newton-refined characteristic roots, a Kronecker-vectorization
 Lyapunov solve, the relative residual of a Lyapunov solution, the
 kernels of V as scalar closures over Psi and the block-by-block loop
-assembly of the quadrature matrix of V from them, and
+assembly of the quadrature matrix of V from them, the entry-by-entry loop
+assembly of Psi's boundary system, and
 high-order quadrature of the functional's integral formula (V of one
 segment, and the Legendre-Galerkin matrix behind k1) with the integration
 domain split at the kernel's diagonal kink.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lkapprox import RfdeSystem
-from lkapprox.linalg import schur_complement, sym_eigen
+from lkapprox.linalg import expm, schur_complement, sym_eigen
 from lkapprox.spectral import NodeSet, cheb_nodes, gauss_legendre, legendre_vals
 
 
@@ -151,6 +152,55 @@ def loop_assemble_quad(dl, weights, rule="cc", N=40):
         P[ck, last] += C.T
     P[last, last] += ker.corner
     return 0.5 * (P + P.T), grid
+
+
+def loop_boundary_system(dl):
+    """Reference for the boundary system of `oracle.build_delay_lyap`: the
+    generator M of the stacked flow and the rows B, right-hand side b of
+    its least-squares problem, with the symmetry and algebraic rows filled
+    entry by entry in a loop over the index triples."""
+    system = dl.system
+    n = system.n
+    A0, A1, h = system.A0, system.A1, system.h
+    eye = np.eye(n)
+    nn = n * n
+    M = np.zeros((2 * nn, 2 * nn))
+    M[:nn, :nn] = np.kron(A0.T, eye)
+    M[:nn, nn:] = np.kron(A1.T, eye)
+    M[nn:, :nn] = -np.kron(eye, A1.T)
+    M[nn:, nn:] = -np.kron(eye, A0.T)
+    E = expm(M * h)
+
+    # Column-major vec: entry (i, j) of Y sits at i + j*n.
+    def _y(i, j):
+        return i + j * n
+
+    def _z(i, j):
+        return nn + i + j * n
+
+    C = E[nn:, :].copy()
+    C[:, :nn] -= np.eye(nn)
+    rhs = [0.0] * nn
+    sym = np.zeros((n * (n - 1) // 2, 2 * nn))
+    r = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            sym[r, _y(i, j)] = 1.0
+            sym[r, _y(j, i)] = -1.0
+            r += 1
+    rhs.extend([0.0] * r)
+    alg = np.zeros((n * (n + 1) // 2, 2 * nn))
+    r = 0
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                alg[r, _y(i, k)] += A0[k, j]
+                alg[r, _y(k, j)] += A0[k, i]
+                alg[r, _z(i, k)] += A1[k, j]
+                alg[r, _z(j, k)] += A1[k, i]
+            rhs.append(-dl.Qtilde[i, j])
+            r += 1
+    return M, np.vstack([C, sym, alg]), np.asarray(rhs)
 
 
 def quad_V(dl, weights, phi, m=60):

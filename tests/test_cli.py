@@ -75,7 +75,11 @@ def test_exit_code_numeric_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, A0=[[0.0]], A1=[[0.0]], h=1.0,
                        Q0=[[1.0]], Q1=[[1.0]], Q2=[[0.0]])
     assert main(["build", "--config", cfg]) == cli.EXIT_NUMERIC
-    capsys.readouterr()
+    # A0 = 1, A1 = 0 makes M = diag(2, 0) semidefinite: alpha-max is unbounded.
+    cfg = write_config(tmp_path, "unbounded.json", A0=[[1.0]], A1=[[0.0]], h=1.0,
+                       Q0=[[1.0]], Q1=[[1.0]], Q2=[[0.0]])
+    assert main(["k1", "--config", cfg]) == cli.EXIT_NUMERIC
+    assert "ConvergenceError" in capsys.readouterr().err
 
 
 def test_exit_code_io_failure(tmp_path, capsys):

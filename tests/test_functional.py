@@ -5,7 +5,12 @@ import numpy.polynomial.polynomial as npoly
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import lkapprox.functional
+import lkapprox.linalg
 from helpers import quad_V, random_stable_rfde, relative_residual
 from lkapprox import (
     CostWeights,
@@ -22,7 +27,7 @@ from lkapprox.functional import (
     critical_delay,
     split_components,
 )
-from lkapprox.linalg import DimensionError, is_hurwitz
+from lkapprox.linalg import ConvergenceError, DimensionError, is_hurwitz
 from lkapprox.oracle import build_delay_lyap, k1_quad
 
 rng = np.random.default_rng(20240820)
@@ -255,6 +260,113 @@ def test_baseline_alpha_max_example(ex2_system, ex2_weights):
     npt.assert_allclose(val, 0.234618521176024, atol=1e-6)
     with pytest.raises(ValueError):
         baseline_k1(ex2_system, ex2_weights, method="magic")
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        baseline_k1(ex2_system, CostWeights(np.eye(2), -np.eye(2), np.zeros((2, 2))),
+                    method="alpha-max")
+
+
+_EX2_A0 = [[-2.0, 0.0], [0.0, -0.9]]
+_EX2_A1 = [[-1.0, 0.0], [-1.0, -1.0]]
+_ALPHA_MAX_SINGULAR = {
+    # A1 != 0 couples the kernel of S = blkdiag(Q0, 0) to its range, so
+    # S + alpha M is indefinite for every alpha > 0.
+    "ex2-q1-zero": (_EX2_A0, _EX2_A1, np.eye(2), np.zeros((2, 2)), 0.0),
+    # The packaged delay-free config: alpha* = Q0 / (-2 A0).
+    "delay-free": ([[-1.0]], [[0.0]], [[1.0]], [[0.0]], 0.5),
+    "decoupled": (_EX2_A0, np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)), 0.25),
+    # M is negative on the kernel of Q0 = diag(1, 0).
+    "q0-singular": (_EX2_A0, _EX2_A1, np.diag([1.0, 0.0]), np.eye(2), 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ALPHA_MAX_SINGULAR))
+def test_baseline_alpha_max_singular_weights(case):
+    A0, A1, Q0, Q1, expected = _ALPHA_MAX_SINGULAR[case]
+    n = len(A0)
+    sys_ = RfdeSystem(A0, A1, 2.0)
+    w = CostWeights(Q0, Q1, np.zeros((n, n)))
+    assert baseline_k1(sys_, w, method="alpha-max") == expected
+
+
+def test_baseline_alpha_max_unbounded_raises():
+    # M = diag(2, 0) >= 0: every alpha >= 0 is feasible.
+    sys_ = RfdeSystem([[1.0]], [[0.0]], 1.0)
+    w = CostWeights([[1.0]], [[1.0]], [[0.0]])
+    with pytest.raises(ConvergenceError, match="no finite feasibility bound"):
+        baseline_k1(sys_, w, method="alpha-max")
+
+
+@st.composite
+def _stable_systems(draw):
+    """A delay-independently stable system (mu2(A0) + ||A1||_2 < 0), SPD
+    weights with Q2 = 0, and an orthogonal matrix of the same order."""
+    n = draw(st.integers(1, 3))
+
+    def matrix():
+        return draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+
+    W, B, C0, C1, R = matrix(), matrix(), matrix(), matrix(), matrix()
+    delta = draw(st.floats(0.4, 1.6))
+    A0 = W - (np.linalg.eigvalsh(0.5 * (W + W.T))[-1] + delta) * np.eye(n)
+    A1 = B * (draw(st.floats(0.2, 0.9)) * delta / max(1.0, np.linalg.norm(B, 2)))
+    Q0 = C0 @ C0.T + draw(st.floats(0.1, 1.0)) * np.eye(n)
+    Q1 = C1 @ C1.T + draw(st.floats(0.1, 1.0)) * np.eye(n)
+    U = np.linalg.qr(R)[0]
+    return A0, A1, Q0, Q1, U
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_stable_systems())
+def test_baseline_alpha_max_properties(drawn):
+    # alpha* is the edge of the feasible interval {alpha : S + alpha M >= 0}
+    # to 1e-10 relative, and a congruence by blkdiag(U, U) leaves the
+    # pencil's eigenvalues alone.
+    A0, A1, Q0, Q1, U = drawn
+    n = len(A0)
+    Z = np.zeros((n, n))
+    alpha = baseline_k1(RfdeSystem(A0, A1, 1.0), CostWeights(Q0, Q1, Z), "alpha-max")
+    S = scipy.linalg.block_diag(Q0, Q1)
+    M = np.block([[A0.T + A0, A1], [A1.T, Z]])
+    assert np.linalg.eigvalsh(S + alpha * M)[0] >= -1e-12 * np.linalg.norm(M, 2)
+    assert np.linalg.eigvalsh(S + (1.0 + 1e-10) * alpha * M)[0] < 0.0
+    rotated = baseline_k1(RfdeSystem(U.T @ A0 @ U, U.T @ A1 @ U, 1.0),
+                          CostWeights(U.T @ Q0 @ U, U.T @ Q1 @ U, Z), "alpha-max")
+    assert abs(rotated - alpha) <= 1e-12 * alpha
+
+
+def _count_calls(monkeypatch, counts, key, owner, name):
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_baseline_alpha_max_one_eigensolve(monkeypatch, ex2_system, ex2_weights):
+    # S = blkdiag(Q0, Q1) > 0: one symmetric-definite eigensolve gives alpha*.
+    counts = {"eig": 0}
+    for owner in (scipy.linalg, np.linalg):
+        for name in ("eigh", "eigvalsh"):
+            _count_calls(monkeypatch, counts, "eig", owner, name)
+    baseline_k1(ex2_system, ex2_weights, method="alpha-max")
+    assert counts == {"eig": 1}
+
+
+@pytest.mark.parametrize("scheme", ["legendre", "cheb"])
+def test_build_k1_factors_each_symmetric_matrix_once(monkeypatch, scheme):
+    # The history block Z of the complement is factored by Cholesky alone:
+    # the only symmetric eigensolve is the one on the n x n complement.
+    local = np.random.default_rng(6)
+    system = random_stable_rfde(local, 6)
+    w = CostWeights(np.eye(6), np.eye(6), 0.3 * np.eye(6))
+    counts = {"sym_eigen": 0, "solve": 0}
+    _count_calls(monkeypatch, counts, "sym_eigen", lkapprox.linalg, "sym_eigen")
+    _count_calls(monkeypatch, counts, "sym_eigen", lkapprox.functional, "sym_eigen")
+    _count_calls(monkeypatch, counts, "solve", np.linalg, "solve")
+    k1(build_functional(system, w, scheme, 40))
+    assert counts == {"sym_eigen": 1, "solve": 0}
 
 
 @pytest.mark.parametrize("scheme", ["cheb", "legendre"])

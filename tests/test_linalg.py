@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
+import lkapprox.linalg
 from helpers import (
     kron_lyap_solve,
     newton_char_root,
@@ -191,9 +192,31 @@ def test_schur_complement_zero_offblock():
     npt.assert_allclose(schur_complement(np.eye(4), 2), np.eye(2))
 
 
-def test_schur_complement_singular_block():
+def test_schur_complement_singular_block(monkeypatch):
     P = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 2.0]])
     npt.assert_allclose(schur_complement(P, 2), [[1.0]], atol=1e-12)
+    # cond(Z) = 1e12 fails the Cholesky branch's condition gate, so the
+    # complement comes from the eigendecomposition of Z.  With B = Z W the
+    # complement is exactly C.  The explicit pseudo-inverse reference loses
+    # about eps cond(Z) ||W||^2 to cancellation, the eigen branch does not.
+    calls = []
+    monkeypatch.setattr(lkapprox.linalg, "sym_eigen",
+                        lambda S: calls.append(S.shape) or sym_eigen(S))
+    local = np.random.default_rng(12)
+    U, _ = np.linalg.qr(local.standard_normal((4, 4)))
+    Z = (U * np.array([1.0, 0.3, 1e-6, 1e-12])) @ U.T
+    Z = 0.5 * (Z + Z.T)
+    W = local.standard_normal((4, 2))
+    B = Z @ W
+    C = np.array([[2.0, 0.5], [0.5, 1.0]])
+    X = W.T @ Z @ W + C
+    X = 0.5 * (X + X.T)
+    S = schur_complement(np.block([[Z, B], [B.T, X]]), 4)
+    assert calls == [(4, 4)]
+    npt.assert_allclose(S, C, rtol=0.0, atol=1e-12)
+    ref = X - B.T @ np.linalg.pinv(Z) @ B
+    npt.assert_allclose(S, ref, rtol=0.0,
+                        atol=1e-15 * np.linalg.cond(Z) * np.linalg.norm(W, 2) ** 2)
 
 
 def test_schur_complement_empty_block():

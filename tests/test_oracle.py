@@ -10,6 +10,7 @@ from helpers import (
     gram_psi,
     kernels,
     loop_assemble_quad,
+    loop_boundary_system,
     quad_k1,
     random_stable_matrix,
     random_stable_rfde,
@@ -238,6 +239,29 @@ def test_assemble_quad_matches_loop_reference(rule, n):
         P_ref, grid_ref = loop_assemble_quad(dl, w, rule=rule, N=N)
         npt.assert_array_equal(grid.nodes, grid_ref.nodes)
         assert np.max(np.abs(P - P_ref)) <= 1e-13 * np.max(np.abs(P_ref)), N
+
+
+def test_boundary_system_matches_loop_reference(monkeypatch):
+    # The Kronecker-built boundary rows of Psi are bit-identical to the
+    # entry-by-entry loop, so u0, cond and the series of Psi are unchanged.
+    lstsq = np.linalg.lstsq
+    seen = []
+
+    def recorded(B, b, **kwargs):
+        seen.append((B, b))
+        return lstsq(B, b, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recorded)
+    local = np.random.default_rng(7)
+    for draw in range(40):
+        n = 1 + draw % 4
+        R = [local.standard_normal((n, n)) for _ in range(3)]
+        w = CostWeights(*(r @ r.T + 0.1 * np.eye(n) for r in R))
+        dl = build_delay_lyap(random_stable_rfde(local, n), w)
+        M, B, b = loop_boundary_system(dl)
+        npt.assert_array_equal(dl.M, M)
+        npt.assert_array_equal(seen[-1][0], B)
+        npt.assert_array_equal(seen[-1][1], b)
 
 
 def test_assemble_quad_matches_spectral_build(ex1_system, ex1_weights):
