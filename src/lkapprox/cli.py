@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -370,22 +369,13 @@ def cmd_sweep(cfg, args):
         base_nr = functional.baseline_k1(cfg.system, cfg.weights, "norm-ratio")
         base_am = functional.baseline_k1(cfg.system, cfg.weights, "alpha-max")
 
-    env = os.environ.get("LK_THREADS", "")
-    try:
-        workers = int(env) if env else min(4, os.cpu_count() or 1)
-    except ValueError:
-        raise ConfigError(f"LK_THREADS must be an integer, got {env!r}")
-    if workers < 1:
-        raise ConfigError("LK_THREADS must be >= 1")
-
     def task(value):
         try:
             return _sweep_point(cfg, scheme, args.axis, value, N_fixed), ""
         except _NUMERIC_ERRORS as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(task, values))
+    results = [task(v) for v in values]
 
     header = [args.axis, "k1", "max_re", "psd", "residual", "wall_time_ms"]
     if with_baselines:

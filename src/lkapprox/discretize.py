@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DimensionError, is_hurwitz
+from .linalg import DimensionError, _symmetrized, is_hurwitz
 from .spectral import (
     NodeSet,
     cheb_diffmat,
@@ -47,12 +47,6 @@ def _square(M, n, name):
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} contains non-finite entries")
     return M
-
-
-def _symmetric(M, name):
-    if np.linalg.norm(M - M.T, "fro") > 1e-10 * max(1.0, np.linalg.norm(M, "fro")):
-        raise ValueError(f"{name} must be symmetric")
-    return 0.5 * (M + M.T)
 
 
 def _frozen_array(M):
@@ -110,7 +104,7 @@ class CostWeights:
         mats = []
         for name in ("Q0", "Q1", "Q2"):
             M = _square(getattr(self, name), n, name)
-            mats.append(_frozen_array(_symmetric(M, name)))
+            mats.append(_frozen_array(_symmetrized(M, name)))
         object.__setattr__(self, "Q0", mats[0])
         object.__setattr__(self, "Q1", mats[1])
         object.__setattr__(self, "Q2", mats[2])

@@ -7,6 +7,8 @@ are real; eigenvalues may come back complex.
 
 from __future__ import annotations
 
+import ctypes
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +29,37 @@ __all__ = [
     "schur_complement",
     "expm",
 ]
+
+
+def _pin_blas():
+    """Run every loaded OpenBLAS on one thread, unless its environment sets a count.
+
+    NumPy and SciPy each link their own OpenBLAS.  With default threads, one
+    library's spinning workers stall the other library's next call, and
+    Python threads cannot overlap the LAPACK work of a build anyway.
+    """
+    if any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                     "OMP_NUM_THREADS")):
+        return
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return
+    for path in sorted(p for p in paths if os.path.isfile(p)):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_set_num_threads64_",
+                       "scipy_openblas_set_num_threads",
+                       "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = None
+                fn(1)
+                break
+
+
+_pin_blas()
 
 
 class DimensionError(ValueError):
@@ -79,10 +112,11 @@ def _as_square(A, name="A", stacked=False):
     return A
 
 
-def _check_symmetric(S, name):
-    nrm = np.linalg.norm(S, "fro")
-    if np.linalg.norm(S - S.T, "fro") > 1e-10 * max(1.0, nrm):
+def _symmetrized(S, name):
+    """(S + S^T) / 2, after checking ||S - S^T||_F <= 1e-10 max(1, ||S||_F)."""
+    if np.linalg.norm(S - S.T, "fro") > 1e-10 * max(1.0, np.linalg.norm(S, "fro")):
         raise ValueError(f"{name} is not symmetric to working tolerance")
+    return 0.5 * (S + S.T)
 
 
 def eigenvalues(A):
@@ -136,7 +170,7 @@ def solve_lyapunov(A, Q):
     Q = _as_square(Q, "Q")
     if Q.shape != A.shape:
         raise DimensionError(f"A and Q dimensions differ: {A.shape} vs {Q.shape}")
-    _check_symmetric(Q, "Q")
+    _symmetrized(Q, "Q")   # checked only: the solve and its gate use Q as given
 
     # P A + A^T P = -Q  is  (A^T) P + P (A^T)^T = -Q.
     gees = scipy.linalg.lapack.dgees
@@ -185,8 +219,7 @@ class SymEigen(NamedTuple):
 def sym_eigen(S):
     """Full eigendecomposition of a symmetric matrix, eigenvalues ascending."""
     S = _as_square(S, "S")
-    _check_symmetric(S, "S")
-    w, V = np.linalg.eigh(0.5 * (S + S.T))
+    w, V = np.linalg.eigh(_symmetrized(S, "S"))
     return SymEigen(w, V)
 
 
@@ -216,8 +249,7 @@ def schur_complement(P, p, check_psd=True):
     d = P.shape[0]
     if not 0 <= p < d:
         raise DimensionError(f"block order p={p} must satisfy 0 <= p < {d}")
-    _check_symmetric(P, "P")
-    P = 0.5 * (P + P.T)
+    P = _symmetrized(P, "P")
 
     if check_psd:
         w = np.linalg.eigvalsh(P)
@@ -240,10 +272,10 @@ def schur_complement(P, p, check_psd=True):
     else:
         rcond = scipy.linalg.lapack.dpocon(R, np.abs(Z).sum(axis=0).max())[0]
     if rcond > 1e-10:
-        # G = R^-T B by level-2 dtrsv per column, on the calling thread: NumPy
-        # and SciPy link separate OpenBLAS builds, and a threaded SciPy dtrsm
-        # right after NumPy's threaded Cholesky waits on the other pool's
-        # spinning workers (d = 246, 2 cores: median 3.3 ms against 0.2 ms).
+        # G = R^-T B by level-2 dtrsv per column.  One level-3
+        # solve_triangular saves only ~0.006 ms at d = 246 with n = 6 columns,
+        # and rounds G differently: near the delay margin, where the
+        # complement cancels digits, k1 would move by ~1e-12 relative.
         G = np.column_stack([scipy.linalg.blas.dtrsv(R, b, trans=1) for b in B.T])
         S = X - G.T @ G
     else:

@@ -1,7 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 
+from helpers import openblas_threads
 from lkapprox import CostWeights, RfdeSystem
+
+
+def pytest_report_header(config):
+    return f"nproc: {os.cpu_count()}, openblas_threads: {openblas_threads()}"
 
 
 @pytest.fixture(scope="session")

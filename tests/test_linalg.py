@@ -1,3 +1,9 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -281,3 +287,30 @@ def test_expm_stack_matches_per_matrix():
         expm(np.stack([np.zeros((2, 2)), 1e3 * np.eye(2)]))
     with pytest.raises(DimensionError):
         expm(np.zeros((2, 2, 3)))
+
+
+def _child_openblas_threads(**env_vars):
+    """openblas_threads() in a fresh interpreter after `import lkapprox`, with
+    OpenBLAS's thread-count variables removed from the environment and
+    `env_vars` added."""
+    tests = pathlib.Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")])
+    )
+    code = "import json, lkapprox, helpers; print(json.dumps(helpers.openblas_threads()))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="OpenBLAS already defaults to one thread on one core")
+def test_import_pins_each_openblas_to_one_thread():
+    threads = _child_openblas_threads()
+    assert threads and set(threads.values()) == {1}, threads
+    threads = _child_openblas_threads(OPENBLAS_NUM_THREADS="2")
+    assert threads and set(threads.values()) == {2}, threads
