@@ -146,15 +146,78 @@ class LyapunovSolution(NamedTuple):
     eigenvalues: np.ndarray  # of A, from the Schur factor of the solve
 
 
+# Triangular blocks of at most this order are solved by one LAPACK dtrsyl.
+_LEAF = 48
+
+
+def _trsyl(A, B, C):
+    """Solve A X + X B^T = C for upper quasi-triangular A, B by LAPACK dtrsyl."""
+    X, scale, _ = scipy.linalg.lapack.dtrsyl(A, B, C, tranb="T")
+    if scale < 1.0:
+        # dtrsyl returned scale * X to avoid overflow: X itself is not finite.
+        raise RangeError("Lyapunov solution overflowed the floating-point range")
+    return X
+
+
+def _split(T):
+    """Midpoint of the quasi-triangular T, moved past a 2x2 block it would cut."""
+    k = T.shape[0] // 2
+    return k + 1 if T[k, k - 1] != 0.0 else k
+
+
+def _sylvester(A, B, C):
+    """Solve A X + X B^T = C, splitting the larger of A and B at its midpoint."""
+    m, n = C.shape
+    if max(m, n) <= _LEAF:
+        return _trsyl(A, B, C)
+    X = np.empty_like(C)
+    if m >= n:
+        k = _split(A)
+        X[k:] = _sylvester(A[k:, k:], B, C[k:])
+        X[:k] = _sylvester(A[:k, :k], B, C[:k] - A[:k, k:] @ X[k:])
+    else:
+        k = _split(B)
+        X[:, k:] = _sylvester(A, B[k:, k:], C[:, k:])
+        X[:, :k] = _sylvester(A, B[:k, :k], C[:, :k] - X[:, k:] @ B[:k, k:].T)
+    return X
+
+
+def _lyapunov(T, C):
+    """Solve T Y + Y T^T = C for symmetric C, recursively on Y = Y^T.
+
+    The trailing diagonal block is solved first, then the off-diagonal
+    Sylvester block, then the leading block against C11 - W - W^T with
+    W = T12 Y12^T: every update is one matrix product.
+    """
+    d = T.shape[0]
+    if d <= _LEAF:
+        return _trsyl(T, T, C)
+    k = _split(T)
+    Y = np.empty_like(C)
+    Y[k:, k:] = _lyapunov(T[k:, k:], C[k:, k:])
+    Y[:k, k:] = _sylvester(T[:k, :k], T[k:, k:], C[:k, k:] - T[:k, k:] @ Y[k:, k:])
+    Y[k:, :k] = Y[:k, k:].T
+    W = T[:k, k:] @ Y[k:, :k]
+    Y[:k, :k] = _lyapunov(T[:k, :k], C[:k, :k] - W - W.T)
+    return Y
+
+
 def solve_lyapunov(A, Q):
     """Solve P A + A^T P = -Q for the symmetric matrix P.
 
     Bartels-Stewart on one real Schur factorization A^T = Z T Z^T (LAPACK
-    dgees, which also yields the eigenvalues of A) and dtrsyl, in the
-    operation order of SciPy's Lyapunov solver.  The operator is singular
-    exactly when two eigenvalues of A sum to zero, so that pairing is
-    checked first; afterwards the residual ||P A + A^T P + Q||_F is gated at
-    1e-9 relative to scale = max(1, ||Q||_F + 2 ||A||_F ||P||_F).  Returns
+    dgees, which also yields the eigenvalues of A).  The triangular equation
+    T Y + Y T^T = Z^T (-Q) Z is solved recursively on the symmetric Y
+    (Jonsson & Kagstrom, ACM TOMS 28(4), 2002): T is split at its midpoint,
+    moved by one where that would cut a 2 x 2 block, the trailing block and
+    then the off-diagonal Sylvester block are solved, and the leading block
+    follows after a matrix-product update.  Blocks of order at most _LEAF
+    go to LAPACK dtrsyl, so up to that order the solve is one dtrsyl call
+    in the operation order of SciPy's Lyapunov solver, and P is bit for bit
+    the symmetrized SciPy solution.  The operator is singular exactly when
+    two eigenvalues of A sum to zero, so that pairing is checked first;
+    afterwards the residual ||P A + A^T P + Q||_F is gated at 1e-9 relative
+    to scale = max(1, ||Q||_F + 2 ||A||_F ||P||_F).  Returns
     LyapunovSolution(P, residual / scale, eigenvalues of A).
 
     Raises
@@ -163,8 +226,10 @@ def solve_lyapunov(A, Q):
         If the Schur iteration fails.
     SingularOperatorError
         If min |lam_i + lam_j| falls below 1e-10 * max(1, rho(A)).
+    RangeError
+        If P overflows the floating-point range.
     NumericalFailureError
-        If the residual gate fails.
+        If the residual gate fails, a NaN residual included.
     """
     A = _as_square(A)
     Q = _as_square(Q, "Q")
@@ -193,8 +258,11 @@ def solve_lyapunov(A, Q):
 
     # The pair check above keeps dtrsyl away from its perturbed (info = 1)
     # branch, which needs a sum below machine precision times ||T||.
-    Y, y_scale, _ = scipy.linalg.lapack.dtrsyl(T, T, Z.T.dot((-Q).dot(Z)), tranb="T")
-    P = Z.dot(Y * y_scale).dot(Z.T)
+    P = Z.dot(_lyapunov(T, Z.T.dot((-Q).dot(Z)))).dot(Z.T)
+    if not np.all(np.isfinite(P)):
+        # Neither dtrsyl's scale nor the block updates between its calls
+        # catch every overflow (a 1e150 coupling in T gives NaN at scale 1).
+        raise RangeError("Lyapunov solution overflowed the floating-point range")
     P = 0.5 * (P + P.T)
 
     residual = float(np.linalg.norm(P @ A + A.T @ P + Q, "fro"))
@@ -203,7 +271,7 @@ def solve_lyapunov(A, Q):
         float(np.linalg.norm(Q, "fro"))
         + 2.0 * float(np.linalg.norm(A, "fro")) * float(np.linalg.norm(P, "fro")),
     )
-    if residual > 1e-9 * scale:
+    if not residual <= 1e-9 * scale:   # a NaN residual fails too
         raise NumericalFailureError(
             f"Lyapunov residual {residual:.3e} exceeds 1e-9 * {scale:.3e}",
             residual=residual,

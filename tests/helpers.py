@@ -2,7 +2,8 @@
 
 Everything here is an independent route to a quantity the library also
 computes: Newton-refined characteristic roots, a Kronecker-vectorization
-Lyapunov solve, the relative residual of a Lyapunov solution, the
+Lyapunov solve, the relative residual of a Lyapunov solution, the tau
+k1 of a closure in extended precision, the
 kernels of V as scalar closures over Psi and the block-by-block loop
 assembly of the quadrature matrix of V from them, the entry-by-entry loop
 assembly of Psi's boundary system, and
@@ -21,7 +22,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from lkapprox import RfdeSystem
-from lkapprox.linalg import expm, schur_complement, sym_eigen
+from lkapprox.linalg import expm, schur_complement, solve_lyapunov, sym_eigen
 from lkapprox.spectral import NodeSet, cheb_nodes, gauss_legendre, legendre_vals
 
 
@@ -68,6 +69,31 @@ def kron_lyap_solve(A, Q):
         vecP = scipy.sparse.linalg.splu(K).solve(b)
     P = vecP.reshape(d, d, order="F")
     return 0.5 * (P + P.T)
+
+
+def longdouble_tau_k1(A, Q, n):
+    """k1 of the tau functional with closure A and cost Q, in extended precision.
+
+    P from `solve_lyapunov` is refined twice by the correction
+    E A + A^T E = -R, where the residual R = P A + A^T P + Q is formed in
+    np.longdouble.  The change to combined coordinates and the elimination
+    of the history blocks (Gaussian, no pivoting) then run in np.longdouble;
+    only the n x n complement goes back to double for its least eigenvalue.
+    np.longdouble is the 80-bit format on x86-64 Linux; where it is plain
+    double, this reference is no more accurate than the code it checks.
+    """
+    Al, Ql = A.astype(np.longdouble), Q.astype(np.longdouble)
+    P = solve_lyapunov(A, Q).P.astype(np.longdouble)
+    for _ in range(2):
+        R = P @ Al + Al.T @ P + Ql
+        P = P + solve_lyapunov(A, (0.5 * (R + R.T)).astype(float)).P
+    d = A.shape[0]
+    P[:-n] -= np.tile(P[-n:], (d // n - 1, 1))
+    P[:, :-n] -= np.tile(P[:, -n:], d // n - 1)
+    for j in range(d - n):
+        P[j + 1:, j + 1:] -= np.outer(P[j + 1:, j], P[j, j + 1:]) / P[j, j]
+    S = P[-n:, -n:].astype(float)
+    return float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
 
 
 def openblas_threads():

@@ -71,6 +71,7 @@ def test_exit_code_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_exit_code_numeric_failure(tmp_path, capsys):
     # A root at the origin makes the Lyapunov solve singular.
     cfg = write_config(tmp_path, A0=[[0.0]], A1=[[0.0]], h=1.0,
@@ -81,6 +82,11 @@ def test_exit_code_numeric_failure(tmp_path, capsys):
                        Q0=[[1.0]], Q1=[[1.0]], Q2=[[0.0]])
     assert main(["k1", "--config", cfg]) == cli.EXIT_NUMERIC
     assert "ConvergenceError" in capsys.readouterr().err
+    # A root at -1e-4 against Q0 = 1e306: P ~ 5e309 is past the double range.
+    cfg = write_config(tmp_path, "overflow.json", A0=[[-1e-4]], A1=[[0.0]], h=1.0,
+                       Q0=[[1e306]], Q1=[[1.0]], Q2=[[0.0]])
+    assert main(["build", "--config", cfg]) == cli.EXIT_NUMERIC
+    assert "RangeError" in capsys.readouterr().err
 
 
 def test_exit_code_io_failure(tmp_path, capsys):

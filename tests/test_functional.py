@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import lkapprox.functional
 import lkapprox.linalg
-from helpers import quad_V, random_stable_rfde, relative_residual
+from helpers import longdouble_tau_k1, quad_V, random_stable_rfde, relative_residual
 from lkapprox import (
     CostWeights,
     FunctionSpec,
@@ -523,3 +523,38 @@ def test_weight_scaling(ex2_system, ex2_weights, scheme):
     fb = build_functional(ex2_system, scaled, scheme, 16)
     npt.assert_allclose(fb.P, c * fa.P, rtol=1e-10, atol=1e-10 * np.max(np.abs(fa.P)))
     npt.assert_allclose(k1(fb), c * k1(fa), rtol=1e-10)
+
+
+def _large_base_system(h):
+    """The unrotated n = 6 system of the benchmark's build-large workload:
+    three example-2-like blocks coupled below the diagonal (margin ~5.57)."""
+    blocks = (([[-2.0, 0.0], [0.0, -0.9]], [[-1.0, 0.0], [-1.0, -1.0]]),
+              ([[-1.8, 0.0], [0.1, -0.88]], [[-0.9, 0.0], [-1.1, -1.0]]),
+              ([[-2.2, 0.0], [-0.1, -0.92]], [[-1.1, 0.0], [-0.9, -1.0]]))
+    A0, A1 = np.zeros((6, 6)), np.zeros((6, 6))
+    for k, (a0, a1) in enumerate(blocks):
+        A0[2 * k:2 * k + 2, 2 * k:2 * k + 2] = a0
+        A1[2 * k:2 * k + 2, 2 * k:2 * k + 2] = a1
+    A0[2:, :2] += 0.1
+    A1[4:, 2:4] -= 0.1
+    weights = CostWeights(np.diag(np.linspace(1.0, 1.5, 6)), np.eye(6), 0.1 * np.eye(6))
+    return RfdeSystem(A0, A1, h), weights
+
+
+@pytest.mark.parametrize("case, h, N, bound", [
+    ("ex2", 6.0, 40, 1e-10), ("ex2", 6.0, 80, 1e-10),
+    ("ex2", 6.15, 40, 1e-10), ("ex2", 6.15, 80, 1e-10),
+    ("large", 5.41, 40, 2e-9),
+])
+def test_k1_near_margin_accuracy_floor(ex2_system, ex2_weights, case, h, N, bound):
+    # Near the delay margin the complement X - B^T Z^-1 B cancels digits
+    # (||X|| ~ 7e4 against k1 ~ 0.75 on the n = 6 system at h = 5.41), so
+    # k1 is checked against the same closure's k1 in extended precision.
+    if case == "ex2":
+        system, weights = dataclasses.replace(ex2_system, h=h), ex2_weights
+    else:
+        system, weights = _large_base_system(h)
+    fa = build_functional(system, weights, scheme="legendre", N=N)
+    ref = longdouble_tau_k1(np.asarray(fa.model.A), _legendre_cost(weights, N, h),
+                            system.n)
+    assert abs(k1(fa) - ref) <= bound * abs(ref)

@@ -16,7 +16,7 @@ from helpers import (
     random_stable_matrix,
     relative_residual,
 )
-from lkapprox import build_cheb_model, build_leg_model
+from lkapprox import RfdeSystem, build_cheb_model, build_leg_model
 from lkapprox.linalg import (
     DimensionError,
     NumericalFailureError,
@@ -128,8 +128,10 @@ def test_solve_lyapunov_random_kronecker_agreement():
 
 
 def test_solve_lyapunov_result_fields(ex2_system):
-    # P is SciPy's Bartels-Stewart solution bit for bit; the eigenvalues come
-    # from the same Schur factor and the residual is the gated one.
+    # Every case here has order d <= 42, at most _LEAF: the triangular stage
+    # is one dtrsyl call on the whole factor, so P is SciPy's Bartels-Stewart
+    # solution bit for bit.  The eigenvalues come from the same Schur factor
+    # and the residual is the gated one.
     cases = [(np.asarray(build(ex2_system, 20).A), np.eye(42))
              for build in (build_leg_model, build_cheb_model)]
     for d in (1, 3, 13, 40):
@@ -314,3 +316,83 @@ def test_import_pins_each_openblas_to_one_thread():
     assert threads and set(threads.values()) == {1}, threads
     threads = _child_openblas_threads(OPENBLAS_NUM_THREADS="2")
     assert threads and set(threads.values()) == {2}, threads
+
+
+def _complex_pair_matrix(rng, d):
+    """A stable, non-normal matrix whose spectrum is complex pairs (plus one
+    real eigenvalue for odd d): its real Schur factor is 2 x 2 blocks, so
+    many midpoint splits would cut one."""
+    B = 0.1 * np.triu(rng.standard_normal((d, d)), 2)
+    for k in range(0, d - 1, 2):
+        re, im = -rng.uniform(0.1, 2.0), rng.uniform(0.5, 3.0)
+        B[k:k + 2, k:k + 2] = [[re, im], [-im, re]]
+    if d % 2:
+        B[-1, -1] = -rng.uniform(0.1, 2.0)
+    U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return U @ B @ U.T
+
+
+def _above_leaf_cases(d):
+    if d % 2:
+        system = RfdeSystem(np.array([[-0.5]]), np.array([[-1.0]]), 2.2)
+        N = d - 1
+    else:
+        system = RfdeSystem(np.array([[-2.0, 0.0], [0.0, -0.9]]),
+                            np.array([[-1.0, 0.0], [-1.0, -1.0]]), 2.0)
+        N = d // 2 - 1
+    cases = [(build.__name__, np.asarray(build(system, N).A), np.eye(d))
+             for build in (build_leg_model, build_cheb_model)]
+    local = np.random.default_rng(d)
+    for label, A in (("random", random_stable_matrix(local, d)),
+                     ("complex-pairs", _complex_pair_matrix(local, d))):
+        Q = local.standard_normal((d, d))
+        cases.append((label, A, Q @ Q.T + 0.1 * np.eye(d)))
+    return cases
+
+
+@pytest.mark.parametrize("d", [49, 97, 131, 246])
+def test_solve_lyapunov_above_leaf(monkeypatch, d):
+    # Orders above _LEAF take the recursive blocked solve.  Its P must match
+    # SciPy's single-dtrsyl Bartels-Stewart solution and, where the
+    # Kronecker system is cheap, the Kronecker solve, and its residual must
+    # be at the level of SciPy's.  No split may cut a 2 x 2 block, and at
+    # every order some case must have a complex pair across a midpoint.
+    assert d > lkapprox.linalg._LEAF
+    splits = []
+    split = lkapprox.linalg._split
+
+    def recording_split(T):
+        k = split(T)
+        splits.append((T[k, k - 1], k != T.shape[0] // 2))
+        return k
+
+    monkeypatch.setattr(lkapprox.linalg, "_split", recording_split)
+    eps = np.finfo(float).eps
+    for label, A, Q in _above_leaf_cases(d):
+        P = solve_lyapunov(A, Q).P
+        ref = scipy.linalg.solve_continuous_lyapunov(A.T, -Q)
+        ref = 0.5 * (ref + ref.T)
+        assert relative_residual(P, A, Q) <= 4.0 * max(relative_residual(ref, A, Q), eps)
+        npt.assert_allclose(P, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+        # The Kronecker system has d^2 unknowns: it is solved only where it
+        # is small or sparse enough to take about a second at most.
+        if d == 49 or (d == 97 and label == "build_leg_model"):
+            npt.assert_allclose(P, kron_lyap_solve(A, Q), rtol=0,
+                                atol=1e-8 * np.max(np.abs(P)))
+    assert splits and all(sub == 0.0 for sub, _ in splits)
+    assert any(moved for _, moved in splits)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_solve_lyapunov_overflow_raises():
+    # The true solution 5e308 I is past the double range.  dtrsyl returns it
+    # scaled by its overflow factor; returning that as P (5e-292 I, with a
+    # NaN residual that the gate let through) is wrong.
+    with pytest.raises(RangeError):
+        solve_lyapunov(-1e-9 * np.eye(2), 1e300 * np.eye(2))
+    # Above the leaf, with 1e150 couplings, dtrsyl returns NaN at scale 1:
+    # only the finiteness check on P sees the overflow.
+    d = 100
+    T = np.diag(-np.linspace(1.0, 2.0, d)) + np.triu(np.full((d, d), 1e150), 1)
+    with pytest.raises(RangeError):
+        solve_lyapunov(T.T, 1e150 * np.eye(d))
