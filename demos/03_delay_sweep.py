@@ -1,5 +1,5 @@
 """Sweep the delay: track the lower-bound coefficient, the spectral
-abscissa of the closure, and the positivity verdict, then bisect the
+abscissa of the closure, and the positivity verdict, then locate the
 critical delay and compare it with the analytic crossing.
 
 Run:  python3 demos/03_delay_sweep.py

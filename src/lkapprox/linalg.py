@@ -112,9 +112,24 @@ def _as_square(A, name="A", stacked=False):
     return A
 
 
+def _fro(M):
+    """||M||_F as a float, rescaled by max |M_ij| where the plain norm overflows.
+
+    The plain norm squares the entries, so it is inf from ~1e154 on; its
+    value is kept wherever it is finite.
+    """
+    with np.errstate(over="ignore"):   # an overflow here is rescaled below
+        nrm = float(np.linalg.norm(M, "fro"))
+    if not np.isfinite(nrm):
+        top = float(np.max(np.abs(M)))
+        if np.isfinite(top):
+            nrm = top * float(np.linalg.norm(M / top, "fro"))
+    return nrm
+
+
 def _symmetrized(S, name):
     """(S + S^T) / 2, after checking ||S - S^T||_F <= 1e-10 max(1, ||S||_F)."""
-    if np.linalg.norm(S - S.T, "fro") > 1e-10 * max(1.0, np.linalg.norm(S, "fro")):
+    if _fro(S - S.T) > 1e-10 * max(1.0, _fro(S)):
         raise ValueError(f"{name} is not symmetric to working tolerance")
     return 0.5 * (S + S.T)
 
@@ -265,12 +280,8 @@ def solve_lyapunov(A, Q):
         raise RangeError("Lyapunov solution overflowed the floating-point range")
     P = 0.5 * (P + P.T)
 
-    residual = float(np.linalg.norm(P @ A + A.T @ P + Q, "fro"))
-    scale = max(
-        1.0,
-        float(np.linalg.norm(Q, "fro"))
-        + 2.0 * float(np.linalg.norm(A, "fro")) * float(np.linalg.norm(P, "fro")),
-    )
+    residual = _fro(P @ A + A.T @ P + Q)
+    scale = max(1.0, _fro(Q) + 2.0 * _fro(A) * _fro(P))
     if not residual <= 1e-9 * scale:   # a NaN residual fails too
         raise NumericalFailureError(
             f"Lyapunov residual {residual:.3e} exceeds 1e-9 * {scale:.3e}",

@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -370,6 +373,29 @@ def test_validate_marks_failures(tmp_path, capsys):
     assert code == cli.EXIT_NUMERIC
     report = json.loads(out)
     assert report["failures"]
+
+
+def test_cli_loads_only_scipy_linalg():
+    # Every other SciPy subpackage (scipy.optimize alone adds ~0.3 s and
+    # ~19 MB) would slow the start of each `lk` process.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import lkapprox.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = lkapprox.cli.main(['critical-delay', '--config', 'example2'])\n"
+        "assert code == 0, code\n"
+        "print(json.dumps(sorted(name for name, mod in sys.modules.items()\n"
+        "                        if name.count('.') == 1 and name.startswith('scipy.')\n"
+        "                        and not name.split('.')[1].startswith('_')\n"
+        "                        and hasattr(mod, '__path__'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["scipy.linalg"]
 
 
 def test_console_script_smoke():

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -20,8 +21,9 @@ from lkapprox import (
     evaluate,
     k1,
 )
-from lkapprox.discretize import discretize_leg
+from lkapprox.discretize import build_model, discretize_leg
 from lkapprox.functional import (
+    _itp,
     _legendre_cost,
     baseline_k1,
     critical_delay,
@@ -370,18 +372,78 @@ def test_build_k1_factors_each_symmetric_matrix_once(monkeypatch, scheme):
 
 
 @pytest.mark.parametrize("scheme", ["cheb", "legendre"])
-def test_critical_delay_examples(ex1_system, ex2_system, ex1_h_crit,
+def test_critical_delay_examples(monkeypatch, ex1_system, ex2_system, ex1_h_crit,
                                  ex2_h_crit, scheme):
-    h2 = critical_delay(ex2_system, scheme, N=20, bracket=(1.0, 10.0), tol=1e-4)
-    assert abs(h2 - ex2_h_crit) <= 1e-2
-    h1 = critical_delay(ex1_system, scheme, N=20, bracket=(1.0, 10.0), tol=1e-4)
-    assert abs(h1 - ex1_h_crit) <= 1e-2
+    tol = 1e-4
+    for system, h_crit in ((ex2_system, ex2_h_crit), (ex1_system, ex1_h_crit)):
+        counts = {"eig": 0}
+        with monkeypatch.context() as m:
+            _count_calls(m, counts, "eig", lkapprox.functional, "is_hurwitz")
+            h = critical_delay(system, scheme, N=20, bracket=(1.0, 10.0), tol=tol)
+        assert abs(h - h_crit) <= 1e-2
+        # Bisection needs 2 + ceil(log2(9 / 1e-4)) = 19 closure eigen-solves.
+        assert counts["eig"] <= 12, counts
+
+        def abscissa(t):
+            return is_hurwitz(build_model(dataclasses.replace(system, h=t), scheme, 20).A)[1]
+
+        assert abscissa(h - 0.5 * tol) < 0.0 <= abscissa(h + 0.5 * tol)
 
 
-def test_critical_delay_deterministic(ex2_system):
-    a = critical_delay(ex2_system, "legendre", N=10, bracket=(1.0, 10.0), tol=1e-3)
+def _step(x):
+    return -1.0 if x < np.pi else 1.0
+
+
+def _flat_then_steep(x):
+    return np.expm1(20.0 * (x - 9.0)) if x > 9.0 else -1e-9
+
+
+def _kink(x):
+    return min(x - 3.3, 10.0 * (x - 3.3))
+
+
+def _plateau(x):
+    return -1.0 if x < 2.0 else (0.0 if x < 7.0 else 1.0)
+
+
+def _exponential(x):
+    return np.exp(x) - 1e3
+
+
+def _exact_zero(x):
+    return x - 5.0   # the first step lands on the root
+
+
+@pytest.mark.parametrize("f", [_step, _flat_then_steep, _kink, _plateau,
+                               _exponential, _exact_zero])
+@pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12, 10.0, 20.0])
+def test_itp_bracket_and_evaluation_bound(f, tol):
+    lo, hi = 0.0, 10.0
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    a, b, steps = _itp(counted, lo, hi, counted(lo), counted(hi), tol)
+    assert steps == len(calls) - 2
+    assert b - a <= tol
+    assert f(a) < 0.0 <= f(b)
+    # Bisection's count, endpoints included, is ceil(log2(10 / tol)) + 2.
+    assert len(calls) <= int(np.ceil(np.log2((hi - lo) / tol))) + 3
+
+
+def test_critical_delay_deterministic(ex2_system, caplog):
+    with caplog.at_level(logging.DEBUG, logger="lkapprox"):
+        a = critical_delay(ex2_system, "legendre", N=10, bracket=(1.0, 10.0), tol=1e-3)
     b = critical_delay(ex2_system, "legendre", N=10, bracket=(1.0, 10.0), tol=1e-3)
     assert a == b
+    # One DEBUG record: the evaluation count and the final bracket.
+    (record,) = caplog.records
+    assert record.name == "lkapprox.functional" and record.levelno == logging.DEBUG
+    evaluations, lo, hi = record.args
+    assert 2 < evaluations <= 2 + int(np.ceil(np.log2(9.0 / 1e-3))) + 1
+    assert hi - lo <= 1e-3 and a == 0.5 * (lo + hi)
 
 
 def test_critical_delay_bracket_errors():
@@ -392,6 +454,10 @@ def test_critical_delay_bracket_errors():
         critical_delay(sys_, "legendre", N=10, bracket=(-1.0, 10.0), tol=1e-3)
     with pytest.raises(ValueError):
         critical_delay(sys_, "legendre", N=10, bracket=(1.0, 10.0), tol=0.0)
+    # A bracket around 10 cannot shrink below its float spacing, 1.8e-15.
+    for tol in (1e-15, float("nan")):
+        with pytest.raises(ValueError, match="floating-point resolution"):
+            critical_delay(sys_, "legendre", N=10, bracket=(1.0, 10.0), tol=tol)
 
 
 def test_split_components_closed_forms(ex2_system, ex2_weights):

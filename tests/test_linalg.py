@@ -163,6 +163,28 @@ def test_solve_lyapunov_rejects_bad_inputs():
         solve_lyapunov(np.eye(2), np.eye(3))
 
 
+def test_symmetry_checks_survive_overflowing_norms():
+    # ||S - S^T||_F and ||S||_F both square past the double range here; the
+    # asymmetry is of the order of S itself.
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eigen(np.array([[1e200, 1e200], [0.0, 1e200]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        solve_lyapunov(-np.eye(2), np.array([[1e200, 3e200], [0.0, 1e200]]))
+
+
+def test_solve_lyapunov_residual_at_large_scale():
+    # Q scaled by c scales P by c and leaves the relative residual at the
+    # rounding level; the squared entries of the plain Frobenius norms
+    # overflow from c ~ 1e154 on.
+    A = np.array([[-1.0, 0.5, 0.2], [0.3, -2.0, 0.1], [0.0, 0.4, -1.5]])
+    Q = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 3.0]])
+    P = solve_lyapunov(A, Q).P
+    for c in (1e160, 1e200, 1e300):
+        sol = solve_lyapunov(A, c * Q)
+        assert 0.0 <= sol.residual <= 1e-15
+        npt.assert_allclose(sol.P / c, P, rtol=1e-13)
+
+
 def test_sym_eigen_identity():
     ew, _ = sym_eigen(np.eye(3))
     npt.assert_allclose(ew, [1.0, 1.0, 1.0])
