@@ -319,6 +319,8 @@ def _parse_range(text):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigError(f"range endpoints must be numbers: {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"range endpoints must be finite, got {text!r}")
     if not lo < hi:
         raise ConfigError(f"range must be increasing, got {text!r}")
     return lo, hi

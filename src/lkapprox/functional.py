@@ -158,7 +158,7 @@ def build_functional(system, weights, scheme="legendre", N=20, *,
             P = P + np.kron(np.diag(w * (h + model.nodes.nodes)), weights.Q2)
 
     max_re = float(np.max(sol.eigenvalues.real))
-    ew = np.linalg.eigvalsh(0.5 * (P + P.T))
+    ew = np.linalg.eigvalsh(P)
     lam_min, lam_max = float(ew[0]), float(ew[-1])
     return FunctionalApprox(
         scheme=scheme, system=system, weights=weights, N=N, split=split,
@@ -325,7 +325,7 @@ def critical_delay(system, scheme="legendre", N=20, bracket=(1.0, 10.0), tol=1e-
     if not (0.0 < h_lo < h_hi):
         raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
     tol = float(tol)
-    if tol <= 0.0:
+    if not tol > 0.0:   # NaN included
         raise ValueError("tol must be positive")
     if not tol > 8.0 * np.spacing(h_hi):
         # Below a few ulps of h no bracket can shrink to tol: the search

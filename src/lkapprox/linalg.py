@@ -181,7 +181,10 @@ def _split(T):
 
 
 def _sylvester(A, B, C):
-    """Solve A X + X B^T = C, splitting the larger of A and B at its midpoint."""
+    """Solve A X + X B^T = C, splitting the larger of A and B at its midpoint.
+
+    Also serves B = A, the triangular stage of `solve_lyapunov`.
+    """
     m, n = C.shape
     if max(m, n) <= _LEAF:
         return _trsyl(A, B, C)
@@ -197,42 +200,22 @@ def _sylvester(A, B, C):
     return X
 
 
-def _lyapunov(T, C):
-    """Solve T Y + Y T^T = C for symmetric C, recursively on Y = Y^T.
-
-    The trailing diagonal block is solved first, then the off-diagonal
-    Sylvester block, then the leading block against C11 - W - W^T with
-    W = T12 Y12^T: every update is one matrix product.
-    """
-    d = T.shape[0]
-    if d <= _LEAF:
-        return _trsyl(T, T, C)
-    k = _split(T)
-    Y = np.empty_like(C)
-    Y[k:, k:] = _lyapunov(T[k:, k:], C[k:, k:])
-    Y[:k, k:] = _sylvester(T[:k, :k], T[k:, k:], C[:k, k:] - T[:k, k:] @ Y[k:, k:])
-    Y[k:, :k] = Y[:k, k:].T
-    W = T[:k, k:] @ Y[k:, :k]
-    Y[:k, :k] = _lyapunov(T[:k, :k], C[:k, :k] - W - W.T)
-    return Y
-
-
 def solve_lyapunov(A, Q):
     """Solve P A + A^T P = -Q for the symmetric matrix P.
 
     Bartels-Stewart on one real Schur factorization A^T = Z T Z^T (LAPACK
     dgees, which also yields the eigenvalues of A).  The triangular equation
-    T Y + Y T^T = Z^T (-Q) Z is solved recursively on the symmetric Y
-    (Jonsson & Kagstrom, ACM TOMS 28(4), 2002): T is split at its midpoint,
-    moved by one where that would cut a 2 x 2 block, the trailing block and
-    then the off-diagonal Sylvester block are solved, and the leading block
-    follows after a matrix-product update.  Blocks of order at most _LEAF
-    go to LAPACK dtrsyl, so up to that order the solve is one dtrsyl call
-    in the operation order of SciPy's Lyapunov solver, and P is bit for bit
-    the symmetrized SciPy solution.  The operator is singular exactly when
-    two eigenvalues of A sum to zero, so that pairing is checked first;
-    afterwards the residual ||P A + A^T P + Q||_F is gated at 1e-9 relative
-    to scale = max(1, ||Q||_F + 2 ||A||_F ||P||_F).  Returns
+    T Y + Y T^T = Z^T (-Q) Z is solved as the Sylvester equation it is, by
+    the recursive blocked method of `_sylvester` with both factors T
+    (Jonsson & Kagstrom, ACM TOMS 28(4), 2002).  Y is not assumed
+    symmetric: taking Y21 = Y12^T loses digits of k1 close to the delay
+    margin.  Blocks of order at most _LEAF go to LAPACK dtrsyl, so up to
+    that order the solve is one dtrsyl call in the operation order of
+    SciPy's Lyapunov solver, and P is bit for bit the symmetrized SciPy
+    solution.  The operator is singular exactly when two eigenvalues of A
+    sum to zero, so that pairing is checked first; afterwards the residual
+    ||P A + A^T P + Q||_F is gated at 1e-9 relative to
+    scale = max(1, ||Q||_F + 2 ||A||_F ||P||_F).  Returns
     LyapunovSolution(P, residual / scale, eigenvalues of A).
 
     Raises
@@ -273,7 +256,7 @@ def solve_lyapunov(A, Q):
 
     # The pair check above keeps dtrsyl away from its perturbed (info = 1)
     # branch, which needs a sum below machine precision times ||T||.
-    P = Z.dot(_lyapunov(T, Z.T.dot((-Q).dot(Z)))).dot(Z.T)
+    P = Z.dot(_sylvester(T, T, Z.T.dot((-Q).dot(Z)))).dot(Z.T)
     if not np.all(np.isfinite(P)):
         # Neither dtrsyl's scale nor the block updates between its calls
         # catch every overflow (a 1e150 coupling in T gives NaN at scale 1).

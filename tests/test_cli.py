@@ -237,6 +237,9 @@ def test_critical_delay_errors(tmp_path, capsys):
                  "--bracket", "5"]) == cli.EXIT_CONFIG
     assert main(["critical-delay", "--config", "delay-free"]) == cli.EXIT_NUMERIC
     capsys.readouterr()
+    assert main(["critical-delay", "--config", "example2",
+                 "--bracket", "1:inf"]) == cli.EXIT_CONFIG
+    assert "'1:inf'" in capsys.readouterr().err
 
 
 def test_sweep_h_axis_baselines(capsys):
@@ -317,6 +320,10 @@ def test_sweep_argument_validation(capsys):
     assert main(["sweep", "--config", "example2", "--axis", "h",
                  "--range", "1:4", "--steps", "0"]) == cli.EXIT_CONFIG
     capsys.readouterr()
+    for text in ("1:inf", "-inf:4", "nan:4"):
+        assert main(["sweep", "--config", "example2", "--axis", "h",
+                     f"--range={text}", "--steps", "3"]) == cli.EXIT_CONFIG
+        assert f"{text!r}" in capsys.readouterr().err
 
 
 def test_flags_rejected_where_they_do_not_act(capsys):

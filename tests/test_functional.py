@@ -452,12 +452,12 @@ def test_critical_delay_bracket_errors():
         critical_delay(sys_, "legendre", N=10, bracket=(1.0, 10.0), tol=1e-3)
     with pytest.raises(ValueError):
         critical_delay(sys_, "legendre", N=10, bracket=(-1.0, 10.0), tol=1e-3)
-    with pytest.raises(ValueError):
-        critical_delay(sys_, "legendre", N=10, bracket=(1.0, 10.0), tol=0.0)
-    # A bracket around 10 cannot shrink below its float spacing, 1.8e-15.
-    for tol in (1e-15, float("nan")):
-        with pytest.raises(ValueError, match="floating-point resolution"):
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
             critical_delay(sys_, "legendre", N=10, bracket=(1.0, 10.0), tol=tol)
+    # A bracket around 10 cannot shrink below its float spacing, 1.8e-15.
+    with pytest.raises(ValueError, match="floating-point resolution"):
+        critical_delay(sys_, "legendre", N=10, bracket=(1.0, 10.0), tol=1e-15)
 
 
 def test_split_components_closed_forms(ex2_system, ex2_weights):
@@ -591,9 +591,18 @@ def test_weight_scaling(ex2_system, ex2_weights, scheme):
     npt.assert_allclose(k1(fb), c * k1(fa), rtol=1e-10)
 
 
-def _large_base_system(h):
-    """The unrotated n = 6 system of the benchmark's build-large workload:
-    three example-2-like blocks coupled below the diagonal (margin ~5.57)."""
+# Analytic delay margin of the build-large system: the scalar factor
+# lam = -0.88 - exp(-lam h) of its second block crosses first.
+_LARGE_MARGIN = 5.572221407824357
+
+
+def _large_base_system(h, seed=None):
+    """The n = 6 system of the benchmark's build-large workload: three
+    example-2-like blocks coupled below the diagonal (margin ~5.57).
+
+    Unrotated for seed=None; otherwise every matrix is rotated by the
+    workload's seeded orthogonal Q, as the benchmark's config for that seed.
+    """
     blocks = (([[-2.0, 0.0], [0.0, -0.9]], [[-1.0, 0.0], [-1.0, -1.0]]),
               ([[-1.8, 0.0], [0.1, -0.88]], [[-0.9, 0.0], [-1.1, -1.0]]),
               ([[-2.2, 0.0], [-0.1, -0.92]], [[-1.1, 0.0], [-0.9, -1.0]]))
@@ -603,14 +612,27 @@ def _large_base_system(h):
         A1[2 * k:2 * k + 2, 2 * k:2 * k + 2] = a1
     A0[2:, :2] += 0.1
     A1[4:, 2:4] -= 0.1
-    weights = CostWeights(np.diag(np.linspace(1.0, 1.5, 6)), np.eye(6), 0.1 * np.eye(6))
-    return RfdeSystem(A0, A1, h), weights
+    W = (np.diag(np.linspace(1.0, 1.5, 6)), np.eye(6), 0.1 * np.eye(6))
+    if seed is not None:
+        Q, R = np.linalg.qr(np.random.default_rng([seed, 0]).standard_normal((6, 6)))
+        Q = Q * np.sign(np.diag(R))
+        A0, A1 = Q @ A0 @ Q.T, Q @ A1 @ Q.T
+        W = tuple(Q @ M @ Q.T for M in W)   # CostWeights symmetrizes them
+    return RfdeSystem(A0, A1, h), CostWeights(*W)
 
 
 @pytest.mark.parametrize("case, h, N, bound", [
     ("ex2", 6.0, 40, 1e-10), ("ex2", 6.0, 80, 1e-10),
     ("ex2", 6.15, 40, 1e-10), ("ex2", 6.15, 80, 1e-10),
     ("large", 5.41, 40, 2e-9),
+] + [
+    # Build-large rotated as the benchmark's config of seed `case`, at 0.99
+    # and 0.999 of the margin.  One dtrsyl on the whole triangular equation
+    # gives at most 3.8e-10 and 7.0e-9 there.
+    pytest.param(seed, frac * _LARGE_MARGIN, N, bound,
+                 id=f"large-seed{seed}-{frac}hc-{N}")
+    for seed in range(4) for frac, bound in ((0.99, 1e-9), (0.999, 2e-8))
+    for N in (20, 40)
 ])
 def test_k1_near_margin_accuracy_floor(ex2_system, ex2_weights, case, h, N, bound):
     # Near the delay margin the complement X - B^T Z^-1 B cancels digits
@@ -619,7 +641,7 @@ def test_k1_near_margin_accuracy_floor(ex2_system, ex2_weights, case, h, N, boun
     if case == "ex2":
         system, weights = dataclasses.replace(ex2_system, h=h), ex2_weights
     else:
-        system, weights = _large_base_system(h)
+        system, weights = _large_base_system(h, None if case == "large" else case)
     fa = build_functional(system, weights, scheme="legendre", N=N)
     ref = longdouble_tau_k1(np.asarray(fa.model.A), _legendre_cost(weights, N, h),
                             system.n)
