@@ -15,7 +15,6 @@ from .discretize import (
     build_cheb_model,
     build_leg_model,
     build_model,
-    build_Qy,
     condition1_check,
     discretize_cheb,
     discretize_leg,

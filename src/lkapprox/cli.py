@@ -229,9 +229,8 @@ def cmd_spectrum(cfg, args):
 
 def _build_functional(cfg, args):
     scheme, N = _scheme_and_N(cfg, args)
-    split = not getattr(args, "no_split", False)
     return functional.build_functional(
-        cfg.system, cfg.weights, scheme=scheme, N=N, split=split,
+        cfg.system, cfg.weights, scheme=scheme, N=N,
         allow_incomplete=cfg.allow_incomplete,
     )
 
@@ -242,7 +241,6 @@ def _build_summary(fa):
         "N": fa.N,
         "n": fa.system.n,
         "h": fa.system.h,
-        "split": fa.split,
         "coordinates": "chebyshev-values" if fa.scheme == "cheb" else "legendre-coefficients",
         "residual": fa.residual,
         "hurwitz": fa.hurwitz,
@@ -337,14 +335,13 @@ def _sweep_point(cfg, scheme, axis, value, N_fixed):
         system, cfg.weights, scheme=scheme, N=N,
         allow_incomplete=cfg.allow_incomplete,
     )
-    row = {
-        "k1": functional.k1(fa, check_psd=False),
-        "max_re": fa.max_re,
-        "psd": fa.psd,
-        "residual": fa.residual,
+    return {
+        "k1": _fmt(functional.k1(fa, check_psd=False)),
+        "max_re": _fmt(fa.max_re),
+        "psd": "true" if fa.psd else "false",
+        "residual": _fmt(fa.residual),
+        "wall_time_ms": _fmt(1e3 * (time.perf_counter() - t0)),
     }
-    row["wall_time_ms"] = 1e3 * (time.perf_counter() - t0)
-    return row
 
 
 def cmd_sweep(cfg, args):
@@ -366,48 +363,30 @@ def cmd_sweep(cfg, args):
         if lo <= 0.0:
             raise ConfigError("h sweep range must stay positive")
 
-    with_baselines = args.axis == "h"
-    if with_baselines:
-        base_nr = functional.baseline_k1(cfg.system, cfg.weights, "norm-ratio")
-        base_am = functional.baseline_k1(cfg.system, cfg.weights, "alpha-max")
+    baselines = {}
+    if args.axis == "h":
+        for key, method in (("baseline_norm_ratio", "norm-ratio"),
+                            ("baseline_alpha_max", "alpha-max")):
+            baselines[key] = _fmt(functional.baseline_k1(cfg.system, cfg.weights, method))
 
     def task(value):
+        # A failed point writes its axis value, psd = false and the error;
+        # every other column reads nan.
+        cells = {args.axis: str(value) if args.axis == "N" else _fmt(value)}
         try:
-            return _sweep_point(cfg, scheme, args.axis, value, N_fixed), ""
+            cells.update(_sweep_point(cfg, scheme, args.axis, value, N_fixed),
+                         error="", **baselines)
         except _NUMERIC_ERRORS as exc:
-            return None, f"{type(exc).__name__}: {exc}"
+            cells.update(psd="false", error=f"{type(exc).__name__}: {exc}")
+        return cells
 
-    results = [task(v) for v in values]
-
-    header = [args.axis, "k1", "max_re", "psd", "residual", "wall_time_ms"]
-    if with_baselines:
-        header += ["baseline_norm_ratio", "baseline_alpha_max"]
-    header.append("error")
-
+    rows = [task(v) for v in values]
+    header = [args.axis, "k1", "max_re", "psd", "residual", "wall_time_ms",
+              *baselines, "error"]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    worst = EXIT_OK
-    for value, (row, err) in zip(values, results):
-        cells = [str(value) if args.axis == "N" else _fmt(value)]
-        if row is None:
-            worst = EXIT_NUMERIC
-            cells += ["nan"] * 2 + ["false", "nan", "nan"]
-            if with_baselines:
-                cells += ["nan", "nan"]
-            cells.append(err)
-        else:
-            cells += [
-                _fmt(row["k1"]),
-                _fmt(row["max_re"]),
-                "true" if row["psd"] else "false",
-                _fmt(row["residual"]),
-                _fmt(row["wall_time_ms"]),
-            ]
-            if with_baselines:
-                cells += [_fmt(base_nr), _fmt(base_am)]
-            cells.append("")
-        writer.writerow(cells)
+    writer = csv.DictWriter(buf, header, restval="nan", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
 
     text = buf.getvalue()
     if args.out:
@@ -415,7 +394,7 @@ def cmd_sweep(cfg, args):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return worst
+    return EXIT_NUMERIC if any(row["error"] for row in rows) else EXIT_OK
 
 
 def cmd_validate(cfg, args):
@@ -516,9 +495,6 @@ def _make_parser():
         if name == "spectrum":
             p.add_argument("--both", action="store_true",
                            help="report both schemes")
-        if name in ("build", "eval", "k1"):
-            p.add_argument("--no-split", action="store_true", dest="no_split",
-                           help="use the direct grid cost matrix (cheb scheme)")
         if name == "eval":
             p.add_argument("--phi", choices=("one", "sin", "exp-decay"))
         if name == "critical-delay":

@@ -20,7 +20,6 @@ from .spectral import (
     cheb_nodes,
     gauss_legendre,
     legendre_vals,
-    transform_leg_to_chebvals,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "build_cheb_model",
     "build_leg_model",
     "build_model",
-    "build_Qy",
     "discretize_cheb",
     "discretize_leg",
     "condition1_check",
@@ -128,11 +126,10 @@ class CostWeights:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """An initial segment phi: [-h, 0] -> R^n in one of four forms.
+    """An initial segment phi: [-h, 0] -> R^n in one of three forms.
 
     kind "constant": data is the constant vector.
     kind "polynomial": data is a (m+1, n) coefficient array, monomial in theta.
-    kind "samples": data is an (N+1, n) array of values on the Chebyshev grid.
     kind "callable": data maps a scalar theta to an n-vector.
     """
 
@@ -151,11 +148,6 @@ class FunctionSpec:
     def polynomial(coeffs):
         C = np.atleast_2d(np.asarray(coeffs, dtype=float))
         return FunctionSpec("polynomial", _frozen_array(C), C.shape[1])
-
-    @staticmethod
-    def samples(values):
-        V = np.atleast_2d(np.asarray(values, dtype=float))
-        return FunctionSpec("samples", _frozen_array(V), V.shape[1])
 
     @staticmethod
     def from_callable(fn: Callable, n: int):
@@ -177,7 +169,7 @@ class FunctionSpec:
         raise ValueError(f"unknown named segment {name!r}")
 
     def __call__(self, theta):
-        """Pointwise value; not defined for the samples variant."""
+        """Pointwise value."""
         theta = float(theta)
         if self.kind == "constant":
             return np.asarray(self.data, dtype=float).copy()
@@ -185,14 +177,12 @@ class FunctionSpec:
             C = np.asarray(self.data)
             powers = theta ** np.arange(C.shape[0])
             return powers @ C
-        if self.kind == "callable":
-            out = np.atleast_1d(np.asarray(self.data(theta), dtype=float))
-            if out.shape != (self.n,):
-                raise DimensionError(
-                    f"callable segment returned shape {out.shape}, expected ({self.n},)"
-                )
-            return out
-        raise ValueError("a sampled segment has no off-grid values")
+        out = np.atleast_1d(np.asarray(self.data(theta), dtype=float))
+        if out.shape != (self.n,):
+            raise DimensionError(
+                f"callable segment returned shape {out.shape}, expected ({self.n},)"
+            )
+        return out
 
 
 @dataclass(frozen=True)
@@ -270,35 +260,13 @@ def build_model(system, scheme, N):
     return build_leg_model(system, N)
 
 
-def build_Qy(weights, N, h):
-    """Grid-coordinate cost matrix: corner blocks Q1 and Q0 plus the
-    Clenshaw-Curtis discretization diag(w_k) (x) Q2 of the integral term."""
-    n = weights.n
-    grid = cheb_nodes(N, h)
-    d = n * (N + 1)
-    Q = np.zeros((d, d))
-    Q[:n, :n] += weights.Q1
-    Q[d - n:, d - n:] += weights.Q0
-    if np.any(weights.Q2):
-        Q += np.kron(np.diag(grid.weights), weights.Q2)
-    return Q
-
-
 def _sample_matrix(phi, thetas):
     return np.vstack([phi(theta) for theta in thetas])
 
 
 def discretize_cheb(phi, N, h):
     """Stacked values of phi on the ascending Chebyshev grid."""
-    grid = cheb_nodes(N, h)
-    if phi.kind == "samples":
-        V = np.asarray(phi.data, dtype=float)
-        if V.shape != (N + 1, phi.n):
-            raise DimensionError(
-                f"samples have shape {V.shape}, expected ({N + 1}, {phi.n})"
-            )
-        return V.reshape(-1).copy()
-    return _sample_matrix(phi, grid.nodes).reshape(-1)
+    return _sample_matrix(phi, cheb_nodes(N, h).nodes).reshape(-1)
 
 
 def discretize_leg(phi, N, h):
@@ -313,10 +281,6 @@ def discretize_leg(phi, N, h):
     N = int(N)
     if N < 1:
         raise ValueError(f"order must be an integer >= 1, got {N!r}")
-    if phi.kind == "samples":
-        y = discretize_cheb(phi, N, h)
-        _, T_vc = transform_leg_to_chebvals(N, n)
-        return T_vc @ y
     if phi.kind == "constant":
         zeta = np.zeros(n * (N + 1))
         zeta[:n] = phi.data

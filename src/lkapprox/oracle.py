@@ -268,19 +268,23 @@ def k1_quad(dl, weights, rule="cc", N=40, check_psd=True):
     return k1_of_quad_matrix(P, dl.system.n, check_psd=check_psd)
 
 
-def property_residuals(dl, points=25):
+_RESIDUAL_POINTS = 25
+
+
+def property_residuals(dl):
     """Relative residuals of the three defining properties of Psi.
 
     dynamic: central-difference check of Psi' = Psi(.) A0 + Psi(. - h) A1 at
-    interior points of (0, h); symmetry: the propagated Z(s) against the
-    reflected Y(h - s)'; algebraic: Y'(0) + Y'(0)' + (Q0 + Q1 + h Q2).
+    25 interior points of (0, h); symmetry: the propagated Z(s) against the
+    reflected Y(h - s)' on 25 points of [0, h]; algebraic:
+    Y'(0) + Y'(0)' + (Q0 + Q1 + h Q2).
     All arguments are evaluated in one `pairs` call.
     """
     system = dl.system
     A0, A1, h = system.A0, system.A1, system.h
     delta = 1e-5 * h
-    taus = np.linspace(0.0, h, points + 2)[1:-1]
-    grid = np.linspace(0.0, h, points)
+    taus = np.linspace(0.0, h, _RESIDUAL_POINTS + 2)[1:-1]
+    grid = np.linspace(0.0, h, _RESIDUAL_POINTS)
     args = [taus + delta, taus - delta, taus, h - taus, h - grid, grid, [0.0]]
     cuts = np.cumsum([len(a) for a in args])[:-1]
     Y, Z = dl.pairs(np.concatenate(args))

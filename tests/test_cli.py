@@ -1,4 +1,6 @@
+import ast
 import csv
+import importlib
 import io
 import json
 import os
@@ -12,6 +14,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import lkapprox
 from lkapprox import cli
 from lkapprox.cli import main
 from lkapprox.oracle import build_delay_lyap, k1_quad
@@ -297,7 +300,7 @@ def test_sweep_starts_no_threads(capsys, monkeypatch):
     assert started == []
 
 
-def test_sweep_records_failures_in_rows(tmp_path, capsys):
+def test_sweep_records_failures_in_rows(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, A0=[[0.0]], A1=[[0.0]], h=1.0,
                        Q0=[[1.0]], Q1=[[1.0]], Q2=[[0.0]])
     code, out = run(capsys, "sweep", "--config", cfg,
@@ -307,6 +310,27 @@ def test_sweep_records_failures_in_rows(tmp_path, capsys):
     assert len(rows) == 2
     for r in rows:
         assert r[1] == "nan" and r[-1] != ""
+
+    # One failing point of an h sweep: every column but the axis value, the
+    # psd verdict and the error reads nan, the baselines included.
+    build = cli.functional.build_functional
+
+    def failing_build(system, *args, **kwargs):
+        if system.h == 2.0:
+            raise ValueError("no build at h = 2")
+        return build(system, *args, **kwargs)
+
+    monkeypatch.setattr(cli.functional, "build_functional", failing_build)
+    code, out = run(capsys, "sweep", "--config", "example2",
+                    "--axis", "h", "--range", "1:3", "--steps", "3")
+    assert code == cli.EXIT_NUMERIC
+    header, rows = parse_csv(out)
+    assert header == ["h", "k1", "max_re", "psd", "residual", "wall_time_ms",
+                      "baseline_norm_ratio", "baseline_alpha_max", "error"]
+    assert rows[1] == ["2", "nan", "nan", "false", "nan", "nan", "nan", "nan",
+                       "ValueError: no build at h = 2"]
+    for r in (rows[0], rows[2]):
+        assert r[3] == "true" and r[-1] == "" and "nan" not in r
 
 
 def test_sweep_argument_validation(capsys):
@@ -336,14 +360,29 @@ def test_flags_rejected_where_they_do_not_act(capsys):
     capsys.readouterr()
 
 
-def test_build_no_split_meta(tmp_path, capsys):
-    out = tmp_path / "p.bin"
-    assert main(["build", "--config", "example2", "--scheme", "cheb",
-                 "--no-split", "--out", str(out)]) == cli.EXIT_OK
+def test_no_split_flag_rejected(capsys):
+    # The cheb build always splits off the history terms; there is no
+    # switch for an unsplit cost.
+    for command in ("build", "eval", "k1"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", "example2", "--scheme", "cheb", "--no-split"])
+        assert exc.value.code == 2
     capsys.readouterr()
-    meta = json.loads((tmp_path / "p.bin.meta.json").read_text())
-    assert meta["split"] is False and meta["scheme"] == "cheb"
-    assert meta["residual"] <= 1e-9
+
+
+def test_public_names_resolve():
+    # perfbench/tracer.py wraps every name in the __all__ of these modules,
+    # so a stale entry would break every traced run.
+    init = pathlib.Path(lkapprox.__file__)
+    for node in ast.parse(init.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = importlib.import_module(f"lkapprox.{node.module}").__all__
+            for alias in node.names:
+                assert alias.name in exported, (node.module, alias.name)
+    for short in ("linalg", "spectral", "discretize", "functional", "oracle", "cli"):
+        mod = importlib.import_module(f"lkapprox.{short}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), (short, name)
 
 
 def test_validate_example1(capsys, ex1_system, ex1_weights):

@@ -14,7 +14,6 @@ from lkapprox import (
 )
 from lkapprox.discretize import (
     build_model,
-    build_Qy,
     condition1_check,
     discretize_cheb,
     discretize_leg,
@@ -64,9 +63,6 @@ def test_function_spec_variants():
     npt.assert_allclose(p(-1.0), [1.0])  # 0 + theta + 2 theta^2 at -1
     f = FunctionSpec.from_callable(lambda t: np.array([np.cos(t)]), 1)
     npt.assert_allclose(f(0.0), [1.0])
-    s = FunctionSpec.samples(np.zeros((4, 1)))
-    with pytest.raises(ValueError):
-        s(-0.5)
     one = FunctionSpec.named("one", 3)
     npt.assert_allclose(one(-1.0), np.ones(3))
     npt.assert_allclose(FunctionSpec.named("sin", 1)(-0.7), [np.sin(-0.7)])
@@ -167,41 +163,18 @@ def test_spectral_convergence_legendre(ex1_system):
     assert abs(r[32] - r[16]) <= 1e-12
 
 
-def test_build_Qy_corner_blocks():
-    w = CostWeights([[1.0]], [[1.0]], [[0.0]])
-    npt.assert_array_equal(build_Qy(w, 3, 2.0), np.diag([1.0, 0, 0, 1.0]))
-
-
-def test_build_Qy_simpson_integral_term():
-    w = CostWeights(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
-    Q = build_Qy(w, 2, 2.0)
-    npt.assert_allclose(Q, np.kron(np.diag([1 / 3, 4 / 3, 1 / 3]), np.eye(2)),
-                        atol=1e-15)
-
-
-def test_build_Qy_psd_and_lower_bound():
-    for _ in range(10):
-        n, N = 2, 6
-        R0 = rng.standard_normal((n, n))
-        R2 = rng.standard_normal((n, n))
-        w = CostWeights(R0 @ R0.T + 0.2 * np.eye(n), np.eye(n), R2 @ R2.T)
-        Q = build_Qy(w, N, 1.7)
-        assert np.linalg.eigvalsh(Q)[0] >= -1e-10
-        lam0 = np.linalg.eigvalsh(w.Q0)[0]
-        y = rng.standard_normal(n * (N + 1))
-        yN = y[-n:]
-        assert y @ Q @ y >= lam0 * (yN @ yN) - 1e-10
-
-
 def test_legendre_cost_corner_only():
     # Without an integral term the tau cost is the grid cost's corner
-    # blocks pulled back through the coefficient-to-values map.
+    # blocks, Q1 at theta = -h and Q0 at theta = 0, pulled back through the
+    # coefficient-to-values map.
     n, N = 2, 4
     R0, R1 = rng.standard_normal((2, n, n))
     w = CostWeights(R0 @ R0.T, R1 @ R1.T, np.zeros((n, n)))
+    Q = np.zeros((n * (N + 1), n * (N + 1)))
+    Q[:n, :n] = w.Q1
+    Q[-n:, -n:] = w.Q0
     T_cv, _ = transform_leg_to_chebvals(N, n)
-    npt.assert_allclose(_legendre_cost(w, N, 2.0),
-                        T_cv.T @ build_Qy(w, N, 2.0) @ T_cv, atol=1e-14)
+    npt.assert_allclose(_legendre_cost(w, N, 2.0), T_cv.T @ Q @ T_cv, atol=1e-14)
 
 
 def test_legendre_cost_weight_sequence():
@@ -232,14 +205,6 @@ def test_discretize_cheb_examples():
     theta = FunctionSpec.polynomial([[0.0], [1.0]])
     npt.assert_allclose(discretize_cheb(theta, 2, 2.0), [-2.0, -1.0, 0.0],
                         atol=1e-15)
-
-
-def test_discretize_cheb_samples_roundtrip_and_validation():
-    vals = rng.standard_normal((5, 2))
-    spec = FunctionSpec.samples(vals)
-    npt.assert_array_equal(discretize_cheb(spec, 4, 1.0), vals.reshape(-1))
-    with pytest.raises(DimensionError):
-        discretize_cheb(spec, 6, 1.0)
 
 
 def test_discretize_cheb_interpolant_accuracy():
@@ -290,17 +255,6 @@ def test_discretize_leg_matches_cheb_for_polynomials():
     zeta = discretize_leg(phi, N, h)
     T_cv, _ = transform_leg_to_chebvals(N, n)
     npt.assert_allclose(T_cv @ zeta, discretize_cheb(phi, N, h), atol=1e-10)
-
-
-def test_discretize_leg_samples_variant():
-    n, N, h = 1, 6, 2.0
-    vals = rng.standard_normal((N + 1, n))
-    phi = FunctionSpec.samples(vals)
-    zeta = discretize_leg(phi, N, h)
-    from lkapprox.spectral import transform_leg_to_chebvals
-
-    T_cv, _ = transform_leg_to_chebvals(N, n)
-    npt.assert_allclose(T_cv @ zeta, vals.reshape(-1), atol=1e-11)
 
 
 def test_discretize_leg_series_reproduces_low_degree_polys():
