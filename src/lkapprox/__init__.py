@@ -26,7 +26,6 @@ from .functional import (
     critical_delay,
     evaluate,
     k1,
-    split_components,
 )
 from .linalg import (
     ConvergenceError,

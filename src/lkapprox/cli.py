@@ -24,7 +24,8 @@ from importlib import resources
 import numpy as np
 
 from . import functional, oracle
-from .discretize import SCHEMES, CostWeights, FunctionSpec, RfdeSystem, build_model
+from .discretize import (COORDINATES, SCHEMES, CostWeights, FunctionSpec, RfdeSystem,
+                         build_model)
 from .linalg import (
     ConvergenceError,
     NumericalFailureError,
@@ -241,7 +242,7 @@ def _build_summary(fa):
         "N": fa.N,
         "n": fa.system.n,
         "h": fa.system.h,
-        "coordinates": "chebyshev-values" if fa.scheme == "cheb" else "legendre-coefficients",
+        "coordinates": COORDINATES[fa.scheme],
         "residual": fa.residual,
         "hurwitz": fa.hurwitz,
         "max_re": fa.max_re,
@@ -282,17 +283,30 @@ def cmd_eval(cfg, args):
     return EXIT_OK
 
 
+def _baselines(cfg):
+    """Both baseline k1 values and whether one failed.  A baseline that
+    raises reads nan, and its error goes to stderr."""
+    values, failed = {}, False
+    for key, method in (("baseline_norm_ratio", "norm-ratio"),
+                        ("baseline_alpha_max", "alpha-max")):
+        try:
+            values[key] = functional.baseline_k1(cfg.system, cfg.weights, method)
+        except _NUMERIC_ERRORS as exc:
+            values[key] = math.nan
+            failed = True
+            print(f"lk: numerical failure: {key}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+    return values, failed
+
+
 def cmd_k1(cfg, args):
     fa = _build_functional(cfg, args)
     payload = _build_summary(fa)
-    payload.update({
-        "k1": functional.k1(fa, check_psd=False),
-        "baseline_norm_ratio": functional.baseline_k1(cfg.system, cfg.weights, "norm-ratio"),
-        "baseline_alpha_max": functional.baseline_k1(cfg.system, cfg.weights, "alpha-max"),
-        "delay_free": not bool(np.any(cfg.system.A1)),
-    })
+    payload["k1"] = functional.k1(fa, check_psd=False)
+    baselines, failed = _baselines(cfg)
+    payload.update(baselines, delay_free=not bool(np.any(cfg.system.A1)))
     _emit_json(payload, args.out)
-    return EXIT_OK
+    return EXIT_NUMERIC if failed else EXIT_OK
 
 
 def cmd_critical_delay(cfg, args):
@@ -363,11 +377,10 @@ def cmd_sweep(cfg, args):
         if lo <= 0.0:
             raise ConfigError("h sweep range must stay positive")
 
-    baselines = {}
+    baselines, failed = {}, False
     if args.axis == "h":
-        for key, method in (("baseline_norm_ratio", "norm-ratio"),
-                            ("baseline_alpha_max", "alpha-max")):
-            baselines[key] = _fmt(functional.baseline_k1(cfg.system, cfg.weights, method))
+        baselines, failed = _baselines(cfg)
+        baselines = {key: _fmt(v) for key, v in baselines.items()}
 
     def task(value):
         # A failed point writes its axis value, psd = false and the error;
@@ -394,7 +407,7 @@ def cmd_sweep(cfg, args):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_NUMERIC if any(row["error"] for row in rows) else EXIT_OK
+    return EXIT_NUMERIC if failed or any(row["error"] for row in rows) else EXIT_OK
 
 
 def cmd_validate(cfg, args):
@@ -418,11 +431,7 @@ def cmd_validate(cfg, args):
     except _NUMERIC_ERRORS as exc:
         report["failures"]["psi"] = f"{type(exc).__name__}: {exc}"
 
-    mats = {}
-    if "cheb" in fas:
-        mats["cheb"] = fas["cheb"].grid_matrix()
-    if "legendre" in fas:
-        mats["legendre"] = fas["legendre"].grid_matrix()
+    mats = {scheme: fa.grid_matrix() for scheme, fa in fas.items()}
     if dl is not None:
         try:
             mats["quad_cc"], _ = oracle.assemble_quad(dl, cfg.weights, rule="cc", N=N)

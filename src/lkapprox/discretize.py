@@ -3,7 +3,8 @@
 The state segment x(t + theta), theta in [-h, 0], is approximated either by
 its values on the Chebyshev grid (collocation) or by Legendre coefficients
 (tau method).  Both closures are linear ODEs whose system matrices are built
-here, together with the matching quadratic cost weights.
+here, together with what the functional needs of each scheme: the row that
+reads phi(0) off the coordinates and the mass matrices of the history terms.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import numpy as np
 
 from .linalg import DimensionError, _symmetrized, is_hurwitz
 from .spectral import (
-    NodeSet,
     cheb_diffmat,
     cheb_nodes,
     gauss_legendre,
     legendre_vals,
+    transform_leg_to_chebvals,
 )
 
 __all__ = [
@@ -36,6 +37,8 @@ __all__ = [
 ]
 
 SCHEMES = ("cheb", "legendre")
+# The coordinates of each scheme's closure, as `lk` reports them.
+COORDINATES = {"cheb": "chebyshev-values", "legendre": "legendre-coefficients"}
 
 
 def _square(M, n, name):
@@ -187,23 +190,28 @@ class FunctionSpec:
 
 @dataclass(frozen=True)
 class DiscreteModel:
-    """One spectral ODE closure of an RfdeSystem.
+    """One spectral ODE closure of an RfdeSystem, with the data of its functional.
 
-    `A` is the closure matrix in the scheme's own coordinates: grid values
-    for "cheb", Legendre coefficient blocks for "legendre".  `nodes` is the
-    Chebyshev value grid shared by both schemes for evaluation purposes.
+    `A` is the closure matrix in the scheme's own coordinates c: grid values
+    for "cheb", Legendre coefficient blocks for "legendre".  The row `e`
+    reads phi(0) = kron(e', I) c off the coordinates, and the mass matrices
+    give c' kron(M1, Q1) c = int phi' Q1 phi and
+    c' kron(M2, Q2) c = int (h + s) phi' Q2 phi over [-h, 0].
     """
 
     scheme: str
     system: RfdeSystem
     N: int
-    nodes: NodeSet
     A: np.ndarray
+    e: np.ndarray
+    M1: np.ndarray
+    M2: np.ndarray
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        object.__setattr__(self, "A", _frozen_array(self.A))
+        for name in ("A", "e", "M1", "M2"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     @property
     def n(self):
@@ -215,6 +223,8 @@ def build_cheb_model(system, N):
 
     The first N block rows differentiate the grid values; the last block row
     is exactly [A1, 0, ..., 0, A0], the delay equation read at theta = 0.
+    The endpoint is the last grid value, and the mass matrices are the
+    Clenshaw-Curtis rules diag(w) and diag(w (h + theta)).
     """
     n = system.n
     N = int(N)
@@ -224,7 +234,9 @@ def build_cheb_model(system, N):
     last = np.zeros((n, n * (N + 1)))
     last[:, :n] = system.A1
     last[:, n * N:] = system.A0
-    return DiscreteModel("cheb", system, N, grid, np.vstack([top, last]))
+    w = grid.weights
+    return DiscreteModel("cheb", system, N, np.vstack([top, last]),
+                         np.eye(N + 1)[N], np.diag(w), np.diag(w * (system.h + grid.nodes)))
 
 
 def build_leg_model(system, N):
@@ -233,11 +245,16 @@ def build_leg_model(system, N):
     Block (j, k) is (2/h)(2j+1) I for j < N, k > j, j+k odd (the coefficient
     form of differentiation), and the last block row carries the delay
     equation A0 + (-1)^k A1 - (2/h) k(k+1)/2 I.
+
+    phi(0) is the sum of all N+1 blocks (p_k(1) = 1).  The mass matrices are
+    the exact moments of p_j p_k and (h + s) p_j p_k over the N history
+    coefficients: M1 = diag(h/(2k+1)), and M2 = (h/2) M1 plus (h/2)^2 times
+    2(k+1)/((2k+1)(2k+3)) beside the diagonal.  The last block, the
+    endpoint matcher, carries no mass.
     """
     n = system.n
     N = int(N)
     h = system.h
-    grid = cheb_nodes(N, h)
     Dc = np.zeros((N + 1, N + 1))
     for j in range(N):
         Dc[j, j + 1::2] = 2 * j + 1
@@ -246,7 +263,11 @@ def build_leg_model(system, N):
     A = (2.0 / h) * np.kron(Dc, np.eye(n))
     signs = (-1.0) ** np.arange(N + 1)
     A[n * N:, :] += np.hstack([system.A0 + s * system.A1 for s in signs])
-    return DiscreteModel("legendre", system, N, grid, A)
+    den = 2.0 * k[:N] + 1.0
+    M1 = np.diag(np.append(h / den, 0.0))
+    off = np.append(0.5 * h * h * k[1:N] / (den[:-1] * den[1:]), 0.0)
+    M2 = 0.5 * h * M1 + np.diag(off, 1) + np.diag(off, -1)
+    return DiscreteModel("legendre", system, N, A, np.ones(N + 1), M1, M2)
 
 
 def build_model(system, scheme, N):
@@ -258,6 +279,22 @@ def build_model(system, scheme, N):
     if scheme == "cheb":
         return build_cheb_model(system, N)
     return build_leg_model(system, N)
+
+
+def _coordinates(model, phi):
+    """Segment phi in the closure's coordinates: its Chebyshev grid values
+    or its Legendre coefficients."""
+    if model.scheme == "cheb":
+        return discretize_cheb(phi, model.N, model.system.h)
+    return discretize_leg(phi, model.N, model.system.h)
+
+
+def _grid_map(model):
+    """The map from the closure's coordinates to Chebyshev grid values, or
+    None where the coordinates are the grid values."""
+    if model.scheme == "cheb":
+        return None
+    return transform_leg_to_chebvals(model.N, model.n)[1]
 
 
 def _sample_matrix(phi, thetas):
@@ -298,26 +335,30 @@ def discretize_leg(phi, N, h):
     return zeta
 
 
-def _tau_to_combined(M, n, rows=False):
-    """M Ti (Ti' M Ti with rows) for the tau combined coordinates
-    chi = (zeta^0..zeta^{N-1}, endpoint value), zeta = Ti chi, where Ti is
-    the identity with -I blocks in its last block row: the endpoint block is
-    subtracted from each history block, rows first, in O(d^2)."""
+def _to_combined(M, e, n, rows=False):
+    """M Ti (Ti' M Ti with rows) for the combined coordinates
+    chi = (c^0..c^{N-1}, endpoint value), c = Ti chi.  With e_N = 1 (both
+    schemes), Ti is the identity with the blocks -e_k I in its last block
+    row, so e_k times the endpoint block is subtracted from each history
+    block, rows first, in O(d^2 n).  Where e_k = 0 for every k < N
+    (collocation) the coordinates are already combined and M is copied
+    as it is."""
     M = np.array(M, dtype=float)
+    if not np.any(e[:-1]):
+        return M
+    E = np.kron(e[:-1, None], np.eye(n))   # block k is e_k I
     if rows:
-        M[:-n] -= np.tile(M[-n:], (M.shape[0] // n - 1, 1))
-    M[:, :-n] -= np.tile(M[:, -n:], M.shape[1] // n - 1)
+        M[:-n] -= E @ M[-n:]
+    M[:, :-n] -= M[:, -n:] @ E.T
     return M
 
 
 def condition1_check(model):
     """Hurwitz test of the state-free closure block.
 
-    For collocation this is the leading nN x nN block of A (independent of
-    A0 and A1).  For the tau scheme it is that block of T A Ti, the closure
-    in combined coordinates, whose first nN rows are those of A Ti.
+    This is the leading nN x nN block of T A Ti, the closure in combined
+    coordinates, whose first nN rows are those of A Ti.  For collocation it
+    is the leading block of A itself (independent of A0 and A1).
     """
     p = model.n * model.N
-    if model.scheme == "cheb":
-        return is_hurwitz(model.A[:p, :p])
-    return is_hurwitz(_tau_to_combined(model.A[:p], model.n)[:, :p])
+    return is_hurwitz(_to_combined(model.A[:p], model.e, model.n)[:, :p])

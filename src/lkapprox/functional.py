@@ -19,13 +19,11 @@ import scipy.linalg
 from .discretize import (
     CostWeights,
     DiscreteModel,
-    FunctionSpec,
     RfdeSystem,
-    _tau_to_combined,
-    build_leg_model,
+    _coordinates,
+    _grid_map,
+    _to_combined,
     build_model,
-    discretize_cheb,
-    discretize_leg,
 )
 from .linalg import (
     ConvergenceError,
@@ -36,7 +34,6 @@ from .linalg import (
     solve_lyapunov,
     sym_eigen,
 )
-from .spectral import transform_leg_to_chebvals
 
 __all__ = [
     "FunctionalApprox",
@@ -45,7 +42,6 @@ __all__ = [
     "k1",
     "baseline_k1",
     "critical_delay",
-    "split_components",
 ]
 
 _log = logging.getLogger(__name__)
@@ -53,14 +49,15 @@ _log = logging.getLogger(__name__)
 
 @dataclass
 class FunctionalApprox:
-    """A built functional: V(phi) = d(phi)' P d(phi) in scheme coordinates.
+    """A built functional: V(phi) = c' P c in the closure's coordinates c.
 
     P is the grid-values matrix for the "cheb" scheme and the Legendre
-    coefficient matrix for "legendre".  `residual` (gated by `solve_lyapunov`)
-    and `hurwitz`/`max_re` come from the build's one Lyapunov solve;
-    `lam_min`/`lam_max` are the extreme eigenvalues of P, and `psd` is the
-    scale-free verdict lam_min >= -1e-8 max(|lam_min|, |lam_max|) that
-    `schur_complement` also applies.
+    coefficient matrix for "legendre".  `residual` (gated by
+    `solve_lyapunov`) and `hurwitz`/`max_re` come from the build's one
+    Lyapunov solve, the same solve for both schemes; `lam_min`/`lam_max` are
+    the extreme eigenvalues of P, and `psd` is the scale-free verdict
+    lam_min >= -1e-8 max(|lam_min|, |lam_max|) that `schur_complement` also
+    applies.
     """
 
     scheme: str
@@ -80,44 +77,30 @@ class FunctionalApprox:
 
     def grid_matrix(self):
         """P expressed on the Chebyshev value grid (both schemes)."""
-        if self.scheme == "cheb":
-            return self.P
         if self._grid_P is None:
-            T_vc = transform_leg_to_chebvals(self.N, self.system.n)[1]
+            T_vc = _grid_map(self.model)
+            if T_vc is None:
+                return self.P
             M = T_vc.T @ self.P @ T_vc
             self._grid_P = 0.5 * (M + M.T)
         return self._grid_P
-
-
-def _legendre_cost(weights, N, h):
-    """Coefficient-basis cost for the tau closure.
-
-    Only the endpoint rows of the coefficient-to-values map survive the
-    congruence of the corner blocks, giving Q0 on every block and
-    (-1)^(j+k) Q1 on block (j, k); the integral term is diagonal with
-    moments h/(2k+1) (and h on the matcher block).
-    """
-    jk = np.add.outer(np.arange(N + 1), np.arange(N + 1))
-    alt = np.where(jk % 2 == 0, 1.0, -1.0)
-    Q = np.kron(np.ones((N + 1, N + 1)), weights.Q0) + np.kron(alt, weights.Q1)
-    if np.any(weights.Q2):
-        diag = np.append(h / (2.0 * np.arange(N) + 1.0), h)
-        Q += np.kron(np.diag(diag), weights.Q2)
-    return Q
 
 
 def build_functional(system, weights, scheme="legendre", N=20, *,
                      allow_incomplete=False):
     """Build the spectral approximation of the prescribed-derivative functional.
 
-    The "cheb" build solves with the lumped weight Q0 + Q1 + h Q2 on the
-    endpoint block and adds the history terms int phi' Q1 phi and
-    int (h + s) phi' Q2 phi afterwards by Clenshaw-Curtis weights, the
-    split of Kharitonov & Zhabko (Automatica 39, 2003).  It is the only
-    collocation build: discretizing those terms inside the Lyapunov cost
-    instead put the cheb k1 of example 2 45-50% below the tau k1 at N = 8
-    and 17% below at N = 32, against 0.6% and 0.04% for the split.  The
-    "legendre" cost is exact in the coefficient basis and needs no split.
+    One formula for both schemes, the split of Kharitonov & Zhabko
+    (Automatica 39, 2003):
+    P = P0 + kron(M1, Q1) + kron(M2, Q2), where P0 solves the closure's
+    Lyapunov equation with the lumped weight Q0 + Q1 + h Q2 on the endpoint,
+    cost kron(e e', Q0 + Q1 + h Q2), and the history terms int phi' Q1 phi
+    and int (h + s) phi' Q2 phi are added through the model's mass matrices
+    M1, M2 (`DiscreteModel`).  These are exact for "legendre" and
+    Clenshaw-Curtis rules for "cheb".  Discretizing the history terms inside
+    the collocation cost instead put the cheb k1 of example 2 45-50% below
+    the tau k1 at N = 8 and 17% below at N = 32, against 0.6% and 0.04% for
+    the split.
 
     Parameters
     ----------
@@ -139,21 +122,12 @@ def build_functional(system, weights, scheme="legendre", N=20, *,
     if N < 1:
         raise ValueError(f"order must be an integer >= 1, got {N!r}")
 
-    n, h = system.n, system.h
-    d = n * (N + 1)
     model = build_model(system, scheme, N)
-    if scheme == "legendre":
-        Q_solve = _legendre_cost(weights, N, h)
-    else:
-        Q_solve = np.zeros((d, d))
-        Q_solve[d - n:, d - n:] = weights.combined(h)
-    sol = solve_lyapunov(model.A, Q_solve)
-    P = sol.P
-    if scheme == "cheb":
-        w = model.nodes.weights
-        P = P + np.kron(np.diag(w), weights.Q1)
-        if np.any(weights.Q2):
-            P = P + np.kron(np.diag(w * (h + model.nodes.nodes)), weights.Q2)
+    e_e = np.outer(model.e, model.e)
+    sol = solve_lyapunov(model.A, np.kron(e_e, weights.combined(system.h)))
+    P = sol.P + np.kron(model.M1, weights.Q1)
+    if np.any(weights.Q2):
+        P = P + np.kron(model.M2, weights.Q2)
 
     max_re = float(np.max(sol.eigenvalues.real))
     ew = np.linalg.eigvalsh(P)
@@ -172,24 +146,21 @@ def evaluate(fa, phi):
         raise DimensionError(
             f"segment is {phi.n}-dimensional but the system is {fa.system.n}-dimensional"
         )
-    if fa.scheme == "cheb":
-        y = discretize_cheb(phi, fa.N, fa.system.h)
-        return float(y @ fa.P @ y)
-    zeta = discretize_leg(phi, fa.N, fa.system.h)
-    return float(zeta @ fa.P @ zeta)
+    c = _coordinates(fa.model, phi)
+    return float(c @ fa.P @ c)
 
 
 def k1(fa, check_psd=True):
     """Tight coefficient of the quadratic lower bound k1 ||x(t)||^2 <= V.
 
-    Eliminates the history blocks by a generalized Schur complement; for the
-    tau scheme the elimination runs in combined coordinates whose last block
-    is the endpoint value.  With check_psd a functional that fails its
-    `psd` verdict (past the stability boundary) raises instead of returning
-    a negative number.
+    Eliminates the history blocks by a generalized Schur complement in
+    combined coordinates, whose last block is the endpoint value (for
+    collocation these are the grid values themselves).  With check_psd a
+    functional that fails its `psd` verdict (past the stability boundary)
+    raises instead of returning a negative number.
     """
     if fa._k1 is None:
-        M = fa.P if fa.scheme == "cheb" else _tau_to_combined(fa.P, fa.system.n, rows=True)
+        M = _to_combined(fa.P, fa.model.e, fa.system.n, rows=True)
         S = schur_complement(M, fa.system.n * fa.N, check_psd=False)
         fa._k1 = float(sym_eigen(S).eigenvalues[0])
     if check_psd and not fa.psd:
@@ -345,35 +316,3 @@ def critical_delay(system, scheme="legendre", N=20, bracket=(1.0, 10.0), tol=1e-
     _log.debug("critical_delay: %d abscissa evaluations, final bracket [%r, %r]",
                steps + 2, h_lo, h_hi)
     return 0.5 * (h_lo + h_hi)
-
-
-def split_components(system, weights, N):
-    """The three addends of the functional in coefficient coordinates.
-
-    P0 solves the closure's Lyapunov equation with all weight lumped into
-    the endpoint block (derivative weights (Q0 + Q1 + h Q2, 0, 0)); P1 and
-    P2 are the closed forms of the delayed term int phi' Q1 phi and the
-    weighted integral term int (h + s) phi' Q2 phi.  Their sum equals the
-    direct build's P exactly, up to the solver's residual.
-    """
-    if weights.n != system.n:
-        raise DimensionError("weights and system dimensions differ")
-    N = int(N)
-    if N < 1:
-        raise ValueError(f"order must be an integer >= 1, got {N!r}")
-    n, h = system.n, system.h
-    model = build_leg_model(system, N)
-    zero = np.zeros((n, n))
-    Qt = _legendre_cost(CostWeights(weights.combined(h), zero, zero), N, h)
-    P0 = solve_lyapunov(model.A, Qt).P
-
-    diag1 = np.append(h / (2.0 * np.arange(N) + 1.0), 0.0)
-    P1 = np.kron(np.diag(diag1), weights.Q1)
-
-    tri = np.zeros((N + 1, N + 1))
-    for a in range(N):
-        tri[a, a] = 2.0 / (2 * a + 1)
-    for a in range(N - 1):
-        tri[a, a + 1] = tri[a + 1, a] = 2.0 * (a + 1) / ((2 * a + 1) * (2 * a + 3))
-    P2 = (h / 2.0) ** 2 * np.kron(tri, weights.Q2)
-    return P0, P1, P2

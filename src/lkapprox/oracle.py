@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
-from .linalg import ConvergenceError, expm, schur_complement, sym_eigen
+from .linalg import ConvergenceError, DimensionError, expm, schur_complement, sym_eigen
 from .spectral import NodeSet, cheb_nodes, gauss_legendre
 
 __all__ = [
@@ -159,6 +159,10 @@ def _flow_series(M, u0, h):
 def build_delay_lyap(system, weights):
     """Construct Psi for the system under the lumped weight Q0 + Q1 + h Q2."""
     n = system.n
+    if weights.n != n:
+        raise DimensionError(
+            f"weights are {weights.n}-dimensional but the system is {n}-dimensional"
+        )
     A0, A1, h = system.A0, system.A1, system.h
     Qt = weights.combined(h)
     eye = np.eye(n)
@@ -210,7 +214,9 @@ def assemble_quad(dl, weights, rule="cc", N=40):
     one `pairs` call on the differences t_k - t_j >= 0 (j <= k), h + t_k
     and 0; the lower triangle follows from Psi(-tau) = Psi(tau)'.  Psi is
     the Chebyshev interpolant of DelayLyapunovMatrix, accurate to the
-    rounding level of a direct expm.
+    rounding level of a direct expm.  Psi depends on the weights only
+    through Q0 + Q1 + h Q2, so `weights` must have the lumped weight `dl`
+    was built for (to 1e-12 relative); other weights raise ValueError.
 
     Accuracy floor: the double kernel A1' Psi(xi - theta) A1 has a derivative
     kink on the diagonal xi = theta, which a tensor rule does not resolve, so
@@ -220,6 +226,10 @@ def assemble_quad(dl, weights, rule="cc", N=40):
     """
     system = dl.system
     n, h, A1 = system.n, system.h, system.A1
+    Qt = weights.combined(h)
+    if Qt.shape != dl.Qtilde.shape or not (
+            np.max(np.abs(Qt - dl.Qtilde)) <= 1e-12 * np.max(np.abs(dl.Qtilde))):
+        raise ValueError("weights do not give the lumped weight Psi was built for")
     if rule == "cc":
         grid = cheb_nodes(int(N), h)
     elif rule == "gauss":

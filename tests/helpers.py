@@ -2,8 +2,9 @@
 
 Everything here is an independent route to a quantity the library also
 computes: Newton-refined characteristic roots, a Kronecker-vectorization
-Lyapunov solve, the relative residual of a Lyapunov solution, the tau
-k1 of a closure in extended precision, the
+Lyapunov solve, the relative residual of a Lyapunov solution, the direct
+(unsplit) cost of the tau closure, the tau k1 of a closure in extended
+precision, the
 kernels of V as scalar closures over Psi and the block-by-block loop
 assembly of the quadrature matrix of V from them, the entry-by-entry loop
 assembly of Psi's boundary system, and
@@ -69,6 +70,26 @@ def kron_lyap_solve(A, Q):
         vecP = scipy.sparse.linalg.splu(K).solve(b)
     P = vecP.reshape(d, d, order="F")
     return 0.5 * (P + P.T)
+
+
+def legendre_cost(weights, N, h):
+    """Direct coefficient-basis cost of the tau closure, the reference for
+    the split build.
+
+    Solving P A + A^T P = -Q with this cost gives the tau functional in one
+    solve, with no split into the endpoint solve and the history mass terms.
+    Only the endpoint rows of the coefficient-to-values map survive the
+    congruence of the corner blocks, giving Q0 on every block and
+    (-1)^(j+k) Q1 on block (j, k); the integral term is diagonal with
+    moments h/(2k+1) (and h on the matcher block).
+    """
+    jk = np.add.outer(np.arange(N + 1), np.arange(N + 1))
+    alt = np.where(jk % 2 == 0, 1.0, -1.0)
+    Q = np.kron(np.ones((N + 1, N + 1)), weights.Q0) + np.kron(alt, weights.Q1)
+    if np.any(weights.Q2):
+        diag = np.append(h / (2.0 * np.arange(N) + 1.0), h)
+        Q += np.kron(np.diag(diag), weights.Q2)
+    return Q
 
 
 def longdouble_tau_k1(A, Q, n):

@@ -14,6 +14,7 @@ import numpy.polynomial.polynomial as npoly
 from helpers import (
     gram_psi,
     kron_lyap_solve,
+    legendre_cost,
     quad_k1,
     quad_V,
     random_stable_rfde,
@@ -28,12 +29,7 @@ from lkapprox import (
     k1,
 )
 from lkapprox.discretize import build_cheb_model, build_leg_model, discretize_leg
-from lkapprox.functional import (
-    _legendre_cost,
-    baseline_k1,
-    critical_delay,
-    split_components,
-)
+from lkapprox.functional import baseline_k1, critical_delay
 from lkapprox.linalg import is_hurwitz, solve_lyapunov
 from lkapprox.oracle import assemble_quad, build_delay_lyap, k1_quad, property_residuals
 from lkapprox.spectral import cheb_nodes, gauss_legendre
@@ -219,7 +215,9 @@ def test_criterion_08_splitting_exactness():
     w = CostWeights(np.eye(n), R1 @ R1.T + 0.1 * np.eye(n), R2 @ R2.T + 0.1 * np.eye(n))
     coeffs = local.standard_normal((N, n))  # degree <= N-1
     zeta = discretize_leg(FunctionSpec.polynomial(coeffs), N, h)
-    P0, P1, P2 = split_components(sys_, w, N)
+    model = build_leg_model(sys_, N)
+    P1 = np.kron(model.M1, w.Q1)
+    P2 = np.kron(model.M2, w.Q2)
 
     def poly_integral(Q, shifted):
         # int_{-h}^0 phi' Q phi, optionally weighted by (h + theta)
@@ -237,10 +235,9 @@ def test_criterion_08_splitting_exactness():
     e2 = poly_integral(w.Q2, shifted=True)
     rel1 = abs(zeta @ P1 @ zeta - e1) / abs(e1)
     rel2 = abs(zeta @ P2 @ zeta - e2) / abs(e2)
-    model_A = build_functional(sys_, w, "legendre", N).model.A
     zero = np.zeros((n, n))
-    res1 = relative_residual(P1, model_A, _legendre_cost(CostWeights(-w.Q1, w.Q1, zero), N, h))
-    res2 = relative_residual(P2, model_A, _legendre_cost(CostWeights(-h * w.Q2, zero, w.Q2), N, h))
+    res1 = relative_residual(P1, model.A, legendre_cost(CostWeights(-w.Q1, w.Q1, zero), N, h))
+    res2 = relative_residual(P2, model.A, legendre_cost(CostWeights(-h * w.Q2, zero, w.Q2), N, h))
     ok = rel1 <= 1e-10 and rel2 <= 1e-10 and res1 <= 1e-9 and res2 <= 1e-9
     detail = (
         f"V1 rel err {rel1:.2e}, V2 rel err {rel2:.2e} (<= 1e-10); closed-form "

@@ -228,6 +228,25 @@ def test_k1_cross_command_agreement(capsys):
         npt.assert_allclose(k1_payload["k1"], report["k1"][key], rtol=1e-3)
 
 
+def _no_alpha_config(tmp_path):
+    # x' = x: the loss matrix [[2, 0], [0, 0]] is not sign-definite, so the
+    # alpha-max baseline raises, while the build and norm-ratio (0.5) do not.
+    return write_config(tmp_path, A0=[[1.0]], A1=[[0.0]], h=1.0,
+                        Q0=[[1.0]], Q1=[[1.0]], Q2=[[0.0]], N=8)
+
+
+def test_k1_failing_baseline_reads_nan(tmp_path, capsys):
+    code = main(["k1", "--config", _no_alpha_config(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_NUMERIC
+    payload = json.loads(captured.out)
+    assert payload["baseline_alpha_max"] == "nan"
+    assert payload["baseline_norm_ratio"] == 0.5
+    assert np.isfinite(payload["k1"]) and payload["n"] == 1
+    (line,) = captured.err.splitlines()
+    assert "baseline_alpha_max" in line and "ConvergenceError" in line
+
+
 def test_critical_delay_example2(capsys):
     payload = run_json(capsys, "critical-delay", "--config", "example2",
                        "-N", "20", "--bracket", "1:10", "--tol", "1e-4")
@@ -331,6 +350,20 @@ def test_sweep_records_failures_in_rows(tmp_path, capsys, monkeypatch):
                        "ValueError: no build at h = 2"]
     for r in (rows[0], rows[2]):
         assert r[3] == "true" and r[-1] == "" and "nan" not in r
+
+
+def test_sweep_h_failing_baseline_reads_nan(tmp_path, capsys):
+    code = main(["sweep", "--config", _no_alpha_config(tmp_path),
+                 "--axis", "h", "--range", "1:2", "--steps", "3"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_NUMERIC
+    header, rows = parse_csv(captured.out)
+    assert header[-3:] == ["baseline_norm_ratio", "baseline_alpha_max", "error"]
+    assert [r[0] for r in rows] == ["1", "1.5", "2"]
+    for r in rows:
+        assert r[-3:] == ["0.5", "nan", ""] and "nan" not in r[1:6]
+    (line,) = captured.err.splitlines()
+    assert "baseline_alpha_max" in line and "ConvergenceError" in line
 
 
 def test_sweep_argument_validation(capsys):

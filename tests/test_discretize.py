@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import newton_char_root
+from helpers import legendre_cost, newton_char_root
 from lkapprox import (
     CostWeights,
     FunctionSpec,
@@ -18,7 +18,6 @@ from lkapprox.discretize import (
     discretize_cheb,
     discretize_leg,
 )
-from lkapprox.functional import _legendre_cost
 from lkapprox.linalg import DimensionError, eigenvalues
 from lkapprox.spectral import cheb_nodes, legendre_vals, transform_leg_to_chebvals
 
@@ -174,14 +173,14 @@ def test_legendre_cost_corner_only():
     Q[:n, :n] = w.Q1
     Q[-n:, -n:] = w.Q0
     T_cv, _ = transform_leg_to_chebvals(N, n)
-    npt.assert_allclose(_legendre_cost(w, N, 2.0), T_cv.T @ Q @ T_cv, atol=1e-14)
+    npt.assert_allclose(legendre_cost(w, N, 2.0), T_cv.T @ Q @ T_cv, atol=1e-14)
 
 
 def test_legendre_cost_weight_sequence():
     n, N, h = 2, 3, 2.0
     R = rng.standard_normal((n, n))
     w = CostWeights(np.zeros((n, n)), np.zeros((n, n)), R @ R.T)
-    npt.assert_allclose(_legendre_cost(w, N, h),
+    npt.assert_allclose(legendre_cost(w, N, h),
                         np.kron(np.diag([2.0, 2 / 3, 2 / 5, 2.0]), w.Q2),
                         atol=1e-15)
 
@@ -195,7 +194,7 @@ def test_legendre_cost_constant_integral():
     zeta = np.zeros(n * (N + 1))
     zeta[:n] = c
     npt.assert_array_equal(zeta, discretize_leg(FunctionSpec.constant(c), N, h))
-    npt.assert_allclose(zeta @ _legendre_cost(w, N, h) @ zeta,
+    npt.assert_allclose(zeta @ legendre_cost(w, N, h) @ zeta,
                         h * c @ Q2 @ c, rtol=1e-10)
 
 

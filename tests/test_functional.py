@@ -12,7 +12,13 @@ from hypothesis.extra.numpy import arrays
 
 import lkapprox.functional
 import lkapprox.linalg
-from helpers import longdouble_tau_k1, quad_V, random_stable_rfde, relative_residual
+from helpers import (
+    legendre_cost,
+    longdouble_tau_k1,
+    quad_V,
+    random_stable_rfde,
+    relative_residual,
+)
 from lkapprox import (
     CostWeights,
     FunctionSpec,
@@ -21,16 +27,11 @@ from lkapprox import (
     evaluate,
     k1,
 )
-from lkapprox.discretize import build_model, discretize_leg
-from lkapprox.functional import (
-    _itp,
-    _legendre_cost,
-    baseline_k1,
-    critical_delay,
-    split_components,
-)
-from lkapprox.linalg import ConvergenceError, DimensionError, is_hurwitz
+from lkapprox.discretize import build_leg_model, build_model, discretize_leg
+from lkapprox.functional import _itp, baseline_k1, critical_delay
+from lkapprox.linalg import ConvergenceError, DimensionError, is_hurwitz, solve_lyapunov
 from lkapprox.oracle import build_delay_lyap, k1_quad
+from lkapprox.spectral import cheb_nodes, gauss_legendre, legendre_vals
 
 rng = np.random.default_rng(20240820)
 
@@ -336,6 +337,25 @@ def test_baseline_alpha_max_properties(drawn):
     assert abs(rotated - alpha) <= 1e-12 * alpha
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_stable_systems(), st.floats(0.1, 5.0), st.integers(2, 24),
+       st.sampled_from(["cheb", "legendre"]), st.data())
+def test_build_psd_and_k1_bounds_v(drawn, h, N, scheme, data):
+    # The one build formula of both schemes gives a positive semidefinite
+    # P, and V(phi) >= k1 ||phi(0)||^2 for every segment, here polynomials.
+    A0, A1, Q0, Q1, _ = drawn
+    n = len(A0)
+    C2 = data.draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    coeffs = data.draw(arrays(float, (data.draw(st.integers(1, 6)), n),
+                              elements=st.floats(-1.0, 1.0)))
+    fa = build_functional(RfdeSystem(A0, A1, h), CostWeights(Q0, Q1, C2 @ C2.T),
+                          scheme, N)
+    assert fa.psd
+    phi = FunctionSpec.polynomial(coeffs)
+    x = phi(0.0)
+    assert evaluate(fa, phi) >= k1(fa) * float(x @ x) * (1.0 - 1e-10)
+
+
 def _count_calls(monkeypatch, counts, key, owner, name):
     fn = getattr(owner, name)
 
@@ -461,17 +481,40 @@ def test_critical_delay_bracket_errors():
         critical_delay(sys_, "legendre", N=10, bracket=(1.0, 10.0), tol=1e-15)
 
 
-def test_split_components_closed_forms(ex2_system, ex2_weights):
-    n, N, h = 2, 9, ex2_system.h
-    P0, P1, P2 = split_components(ex2_system, ex2_weights, N)
+def test_split_components_closed_forms(ex2_system):
+    # The tau mass matrices are the closed forms diag(h/(2k+1), 0) and
+    # (h/2)^2 tri, and both are the Gauss-quadrature moments of p_j p_k and
+    # (h + s) p_j p_k on [-h, 0] over the N history coefficients.  The
+    # collocation ones are the Clenshaw-Curtis rules.
+    N, h = 9, ex2_system.h
+    model = build_leg_model(ex2_system, N)
     diag1 = np.append(h / (2.0 * np.arange(N) + 1.0), 0.0)
-    npt.assert_array_equal(P1, np.kron(np.diag(diag1), ex2_weights.Q1))
-    npt.assert_array_equal(P2, np.zeros((n * (N + 1), n * (N + 1))))
+    npt.assert_array_equal(model.M1, np.diag(diag1))
+    tri = np.zeros((N + 1, N + 1))
+    for a in range(N):
+        tri[a, a] = 2.0 / (2 * a + 1)
+    for a in range(N - 1):
+        tri[a, a + 1] = tri[a + 1, a] = 2.0 * (a + 1) / ((2 * a + 1) * (2 * a + 3))
+    npt.assert_allclose(model.M2, (h / 2.0) ** 2 * tri, rtol=1e-15, atol=0.0)
+    rule = gauss_legendre(N + 2, h)
+    L = np.zeros((N + 2, N + 1))
+    L[:, :N] = legendre_vals(N - 1, 2.0 * rule.nodes / h + 1.0)
+    npt.assert_allclose(model.M1, (L.T * rule.weights) @ L, atol=1e-14)
+    npt.assert_allclose(model.M2, (L.T * (rule.weights * (h + rule.nodes))) @ L,
+                        atol=1e-14)
+    npt.assert_array_equal(model.e, np.ones(N + 1))
+
+    cheb = build_model(ex2_system, "cheb", N)
+    w, t = cheb_nodes(N, h).weights, cheb_nodes(N, h).nodes
+    npt.assert_array_equal(cheb.M1, np.diag(w))
+    npt.assert_array_equal(cheb.M2, np.diag(w * (h + t)))
+    npt.assert_array_equal(cheb.e, np.eye(N + 1)[N])
 
 
 def test_split_components_satisfy_their_equations():
-    # Each addend solves the tau-closure Lyapunov equation for its own
-    # derivative-weight triple: (Qt, 0, 0), (-Q1, Q1, 0), (-h Q2, 0, Q2).
+    # Each addend of the tau build solves the closure's Lyapunov equation
+    # for its own derivative-weight triple: (Qt, 0, 0), (-Q1, Q1, 0),
+    # (-h Q2, 0, Q2), with the direct costs of helpers.legendre_cost.
     local = np.random.default_rng(99)
     n, N, h = 2, 9, 1.3
     A0 = local.standard_normal((n, n))
@@ -480,27 +523,31 @@ def test_split_components_satisfy_their_equations():
     R1 = local.standard_normal((n, n))
     R2 = local.standard_normal((n, n))
     w = CostWeights(np.eye(n), R1 @ R1.T + 0.1 * np.eye(n), R2 @ R2.T)
-    model_A = build_functional(sys_, w, "legendre", N).model.A
-    P0, P1, P2 = split_components(sys_, w, N)
+    fa = build_functional(sys_, w, "legendre", N)
+    P1 = np.kron(fa.model.M1, w.Q1)
+    P2 = np.kron(fa.model.M2, w.Q2)
+    P0 = fa.P - P1 - P2
     zero = np.zeros((n, n))
-    Q0c = _legendre_cost(CostWeights(w.combined(h), zero, zero), N, h)
-    Q1c = _legendre_cost(CostWeights(-w.Q1, w.Q1, zero), N, h)
-    Q2c = _legendre_cost(CostWeights(-h * w.Q2, zero, w.Q2), N, h)
+    Q0c = legendre_cost(CostWeights(w.combined(h), zero, zero), N, h)
+    Q1c = legendre_cost(CostWeights(-w.Q1, w.Q1, zero), N, h)
+    Q2c = legendre_cost(CostWeights(-h * w.Q2, zero, w.Q2), N, h)
+    model_A = fa.model.A
     assert relative_residual(P0, model_A, Q0c) <= 1e-9
     assert relative_residual(P1, model_A, Q1c) <= 1e-9
     assert relative_residual(P2, model_A, Q2c) <= 1e-9
 
 
 def test_split_components_superpose_to_direct_build():
+    # The split tau build equals the one solve with the direct cost.
     local = np.random.default_rng(41)
     n, N, h = 2, 12, 1.7
     A0 = local.standard_normal((n, n))
     A0 -= (np.linalg.eigvals(A0).real.max() + 0.5) * np.eye(n)
     sys_ = RfdeSystem(A0, 0.2 * local.standard_normal((n, n)), h)
     w = CostWeights(np.eye(n), 2.0 * np.eye(n), 0.5 * np.eye(n))
-    P0, P1, P2 = split_components(sys_, w, N)
     fa = build_functional(sys_, w, "legendre", N)
-    assert np.max(np.abs(P0 + P1 + P2 - fa.P)) <= 1e-9 * np.max(np.abs(fa.P))
+    direct = solve_lyapunov(fa.model.A, legendre_cost(w, N, h)).P
+    assert np.max(np.abs(direct - fa.P)) <= 1e-9 * np.max(np.abs(fa.P))
 
 
 def test_split_v1_exact_on_low_degree_polynomials(ex2_system, ex2_weights):
@@ -508,7 +555,7 @@ def test_split_v1_exact_on_low_degree_polynomials(ex2_system, ex2_weights):
     coeffs = rng.standard_normal((N, n))
     phi = FunctionSpec.polynomial(coeffs)
     zeta = discretize_leg(phi, N, h)
-    _, P1, _ = split_components(ex2_system, ex2_weights, N)
+    P1 = np.kron(build_leg_model(ex2_system, N).M1, ex2_weights.Q1)
     exact = 0.0
     for i in range(n):
         anti = npoly.polyint(npoly.polymul(coeffs[:, i], coeffs[:, i]))
@@ -638,6 +685,6 @@ def test_k1_near_margin_accuracy_floor(ex2_system, ex2_weights, case, h, N, boun
     else:
         system, weights = _large_base_system(h, None if case == "large" else case)
     fa = build_functional(system, weights, scheme="legendre", N=N)
-    ref = longdouble_tau_k1(np.asarray(fa.model.A), _legendre_cost(weights, N, h),
+    ref = longdouble_tau_k1(np.asarray(fa.model.A), legendre_cost(weights, N, h),
                             system.n)
     assert abs(k1(fa) - ref) <= bound * abs(ref)

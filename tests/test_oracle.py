@@ -16,7 +16,7 @@ from helpers import (
     random_stable_rfde,
 )
 from lkapprox import CostWeights, RfdeSystem, build_functional
-from lkapprox.linalg import ConvergenceError, solve_lyapunov
+from lkapprox.linalg import ConvergenceError, DimensionError, solve_lyapunov
 from lkapprox.oracle import (
     LyapunovConditionError,
     assemble_quad,
@@ -172,6 +172,30 @@ def test_lyapunov_condition_violations():
         build_delay_lyap(RfdeSystem([[0.0]], [[0.0]], 1.0), w)
     with pytest.raises(LyapunovConditionError):
         build_delay_lyap(RfdeSystem([[-1.0]], [[1.0]], 1.0), w)
+
+
+def test_psi_rejects_weights_of_another_dimension():
+    with pytest.raises(DimensionError):
+        build_delay_lyap(RfdeSystem([[-1.0]], [[-0.5]], 1.0),
+                         CostWeights(np.eye(2), np.eye(2), np.zeros((2, 2))))
+
+
+def test_quadrature_rejects_weights_psi_was_not_built_for():
+    # Psi depends on the weights only through Q0 + Q1 + h Q2, so weights
+    # with another sum would mix two functionals: with Psi for Q0 = Q1 = 1,
+    # (5, 3, 0) gave k1 0.897 where its tau k1 is 3.34.
+    sys_ = RfdeSystem([[-1.0]], [[-0.5]], 1.0)
+    dl = build_delay_lyap(sys_, CostWeights([[1.0]], [[1.0]], [[0.0]]))
+    other = CostWeights([[5.0]], [[3.0]], [[0.0]])
+    with pytest.raises(ValueError, match="lumped weight"):
+        k1_quad(dl, other, N=8)
+    with pytest.raises(ValueError, match="lumped weight"):
+        assemble_quad(dl, other, N=8)
+    with pytest.raises(ValueError, match="lumped weight"):
+        assemble_quad(dl, CostWeights(np.eye(2), np.eye(2), np.zeros((2, 2))), N=8)
+    # Weights with the same sum give the same Psi and stay accepted.
+    same_sum = CostWeights([[0.5]], [[1.0]], [[0.5]])
+    assert k1_quad(dl, same_sum, N=8) > 0.0
 
 
 def test_kernels_point_endpoints(ex2_system):
