@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -31,6 +32,7 @@ from .linalg import (
     NumericalFailureError,
     RangeError,
     SingularOperatorError,
+    _lower_bound,
     eigenvalues,
 )
 from .oracle import LyapunovConditionError
@@ -312,7 +314,11 @@ def cmd_k1(cfg, args):
 def cmd_critical_delay(cfg, args):
     scheme, N = _scheme_and_N(cfg, args)
     lo, hi = _parse_range(args.bracket or "1:10")
+    if lo <= 0.0:
+        raise ConfigError("h bracket must stay positive")
     tol = args.tol if args.tol is not None else 1e-4
+    if not 0.0 < tol < math.inf:   # NaN included
+        raise ConfigError(f"--tol must be positive and finite, got {tol!r}")
     h_crit = functional.critical_delay(
         cfg.system, scheme=scheme, N=N, bracket=(lo, hi), tol=tol
     )
@@ -412,63 +418,47 @@ def cmd_sweep(cfg, args):
 
 def cmd_validate(cfg, args):
     N = _scheme_and_N(cfg, args)[1]
-    report = {"N": N, "failures": {}}
-    fas = {}
-    for scheme in SCHEMES:
-        try:
-            fas[scheme] = functional.build_functional(
-                cfg.system, cfg.weights, scheme=scheme, N=N,
-                allow_incomplete=cfg.allow_incomplete,
-            )
-        except _NUMERIC_ERRORS as exc:
-            report["failures"][scheme] = f"{type(exc).__name__}: {exc}"
-
+    failures, mats, k1s = {}, {}, {}
+    report = {"N": N, "failures": failures}
     dl = None
-    try:
-        dl = oracle.build_delay_lyap(cfg.system, cfg.weights)
-        report["psi_residuals"] = oracle.property_residuals(dl)
-        report["psi_cond"] = dl.cond
-    except _NUMERIC_ERRORS as exc:
-        report["failures"]["psi"] = f"{type(exc).__name__}: {exc}"
-
-    mats = {scheme: fa.grid_matrix() for scheme, fa in fas.items()}
-    if dl is not None:
+    for route in (*SCHEMES, "psi", "quad_cc", "quad_gauss"):
+        # A failure is keyed by the route until its matrix is built, and by
+        # k1_<route> while its lower bound is taken.
+        key = route
         try:
-            mats["quad_cc"], _ = oracle.assemble_quad(dl, cfg.weights, rule="cc", N=N)
-        except _NUMERIC_ERRORS as exc:
-            report["failures"]["quad_cc"] = f"{type(exc).__name__}: {exc}"
-
-    deviations = {}
-    names = sorted(mats)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            deviations[f"{a}_vs_{b}"] = float(np.max(np.abs(mats[a] - mats[b])))
-    if mats:
-        scale = max(float(np.max(np.abs(M))) for M in mats.values())
-        report["matrix_scale"] = scale
-    report["matrix_deviation"] = deviations
-
-    k1s = {}
-    for scheme, fa in fas.items():
-        try:
-            k1s[scheme] = functional.k1(fa, check_psd=False)
-        except _NUMERIC_ERRORS as exc:
-            report["failures"][f"k1_{scheme}"] = f"{type(exc).__name__}: {exc}"
-    if dl is not None:
-        for rule in ("cc", "gauss"):
-            try:
-                P = mats.get(f"quad_{rule}")
-                if P is None:
-                    P, _ = oracle.assemble_quad(dl, cfg.weights, rule=rule, N=N)
-                k1s[f"quad_{rule}"] = oracle.k1_of_quad_matrix(
-                    P, cfg.system.n, check_psd=False
+            if route in SCHEMES:
+                fa = functional.build_functional(
+                    cfg.system, cfg.weights, scheme=route, N=N,
+                    allow_incomplete=cfg.allow_incomplete,
                 )
-            except _NUMERIC_ERRORS as exc:
-                report["failures"][f"k1_quad_{rule}"] = f"{type(exc).__name__}: {exc}"
+                mats[route] = fa.grid_matrix()
+                key = f"k1_{route}"
+                k1s[route] = functional.k1(fa, check_psd=False)
+            elif route == "psi":
+                dl = oracle.build_delay_lyap(cfg.system, cfg.weights)
+                report["psi_residuals"] = oracle.property_residuals(dl)
+                report["psi_cond"] = dl.cond
+            elif dl is not None:
+                P, _ = oracle.assemble_quad(dl, cfg.weights, rule=route[5:], N=N)
+                if route == "quad_cc":   # the gauss nodes are not the closures' grid
+                    mats[route] = P
+                key = f"k1_{route}"
+                k1s[route] = _lower_bound(P, cfg.system.n, check_psd=False)
+        except _NUMERIC_ERRORS as exc:
+            failures[key] = f"{type(exc).__name__}: {exc}"
+
+    report["matrix_deviation"] = {
+        f"{a}_vs_{b}": float(np.max(np.abs(mats[a] - mats[b])))
+        for a, b in itertools.combinations(sorted(mats), 2)}
+    if mats:
+        report["matrix_scale"] = max(float(np.max(np.abs(M))) for M in mats.values())
+
     if k1s:
-        vals = list(k1s.values())
-        spread = max(vals) - min(vals)
-        k1s["rel_spread"] = spread / max(1e-300, abs(max(vals, key=abs)))
+        lo, hi = min(k1s.values()), max(k1s.values())
+        # -inf is infinitely far from a finite k1 and not at all from -inf.
+        spread = 0.0 if lo == hi else hi - lo
+        k1s["rel_spread"] = (spread / max(1e-300, abs(lo), abs(hi))
+                             if math.isfinite(spread) else spread)
     report["k1"] = k1s
 
     _emit_json(report, args.out)

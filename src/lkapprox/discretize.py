@@ -41,13 +41,17 @@ SCHEMES = ("cheb", "legendre")
 COORDINATES = {"cheb": "chebyshev-values", "legendre": "legendre-coefficients"}
 
 
+def _finite(M, name):
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return M
+
+
 def _square(M, n, name):
     M = np.asarray(M, dtype=float)
     if M.shape != (n, n):
         raise DimensionError(f"{name} must have shape ({n}, {n}), got {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return M
+    return _finite(M, name)
 
 
 def _frozen_array(M):
@@ -70,8 +74,7 @@ class RfdeSystem:
             raise DimensionError(f"A0 must be square and nonempty, got shape {A0.shape}")
         n = A0.shape[0]
         A1 = _square(self.A1, n, "A1")
-        if not np.all(np.isfinite(A0)):
-            raise ValueError("A0 contains non-finite entries")
+        _finite(A0, "A0")
         h = float(self.h)
         if not np.isfinite(h) or h <= 0.0:
             raise ValueError(f"delay h must be positive and finite, got {self.h!r}")
@@ -145,11 +148,12 @@ class FunctionSpec:
         vec = np.atleast_1d(np.asarray(vec, dtype=float))
         if vec.ndim != 1:
             raise DimensionError("constant spec takes a vector")
+        _finite(vec, "constant segment")
         return FunctionSpec("constant", _frozen_array(vec), vec.size)
 
     @staticmethod
     def polynomial(coeffs):
-        C = np.atleast_2d(np.asarray(coeffs, dtype=float))
+        C = _finite(np.atleast_2d(np.asarray(coeffs, dtype=float)), "polynomial segment")
         return FunctionSpec("polynomial", _frozen_array(C), C.shape[1])
 
     @staticmethod

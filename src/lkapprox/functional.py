@@ -29,10 +29,9 @@ from .linalg import (
     ConvergenceError,
     DimensionError,
     _is_psd,
+    _lower_bound,
     is_hurwitz,
-    schur_complement,
     solve_lyapunov,
-    sym_eigen,
 )
 
 __all__ = [
@@ -47,7 +46,7 @@ __all__ = [
 _log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FunctionalApprox:
     """A built functional: V(phi) = c' P c in the closure's coordinates c.
 
@@ -56,8 +55,8 @@ class FunctionalApprox:
     `solve_lyapunov`) and `hurwitz`/`max_re` come from the build's one
     Lyapunov solve, the same solve for both schemes; `lam_min`/`lam_max` are
     the extreme eigenvalues of P, and `psd` is the scale-free verdict
-    lam_min >= -1e-8 max(|lam_min|, |lam_max|) that `schur_complement` also
-    applies.
+    lam_min >= -1e-8 max(|lam_min|, |lam_max|), the rule `k1` also applies.
+    The record is frozen: `k1` and `grid_matrix` compute from it anew.
     """
 
     scheme: str
@@ -72,18 +71,14 @@ class FunctionalApprox:
     lam_min: float
     lam_max: float
     psd: bool
-    _grid_P: np.ndarray = None
-    _k1: float = None
 
     def grid_matrix(self):
         """P expressed on the Chebyshev value grid (both schemes)."""
-        if self._grid_P is None:
-            T_vc = _grid_map(self.model)
-            if T_vc is None:
-                return self.P
-            M = T_vc.T @ self.P @ T_vc
-            self._grid_P = 0.5 * (M + M.T)
-        return self._grid_P
+        T_vc = _grid_map(self.model)
+        if T_vc is None:
+            return self.P
+        M = T_vc.T @ self.P @ T_vc
+        return 0.5 * (M + M.T)
 
 
 def build_functional(system, weights, scheme="legendre", N=20, *,
@@ -155,20 +150,17 @@ def k1(fa, check_psd=True):
 
     Eliminates the history blocks by a generalized Schur complement in
     combined coordinates, whose last block is the endpoint value (for
-    collocation these are the grid values themselves).  With check_psd a
-    functional that fails its `psd` verdict (past the stability boundary)
-    raises instead of returning a negative number.
+    collocation these are the grid values themselves); -inf where the
+    history block is indefinite, as past the delay margin.  With check_psd
+    a functional that fails its `psd` verdict raises ValueError instead.
     """
-    if fa._k1 is None:
-        M = _to_combined(fa.P, fa.model.e, fa.system.n, rows=True)
-        S = schur_complement(M, fa.system.n * fa.N, check_psd=False)
-        fa._k1 = float(sym_eigen(S).eigenvalues[0])
     if check_psd and not fa.psd:
         raise ValueError(
             f"functional is indefinite (lam_min = {fa.lam_min:.3e}); "
             "pass check_psd=False to evaluate anyway"
         )
-    return fa._k1
+    n = fa.system.n
+    return _lower_bound(_to_combined(fa.P, fa.model.e, n, rows=True), n, check_psd=False)
 
 
 def baseline_k1(system, weights, method="norm-ratio"):
@@ -294,8 +286,8 @@ def critical_delay(system, scheme="legendre", N=20, bracket=(1.0, 10.0), tol=1e-
     if not (0.0 < h_lo < h_hi < np.inf):
         raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
     tol = float(tol)
-    if not tol > 0.0:   # NaN included
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:   # NaN included
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not tol > 8.0 * np.spacing(h_hi):
         # Below a few ulps of h no bracket can shrink to tol: the search
         # would never end.

@@ -298,14 +298,16 @@ def schur_complement(P, p, check_psd=True):
     X - G^T G with G = R^-T B.  Where the factorization fails or LAPACK's
     reciprocal condition estimate (dpocon) is at most 1e-10, Z^+ is formed
     from the eigendecomposition of Z instead, with rank cutoff
-    p * eps * lam_max(Z).
+    p * eps * lam_max(Z).  Where those eigenvalues fail the positivity rule
+    lam_min(Z) >= -1e-8 max(|lam_min(Z)|, lam_max(Z), max |P_ij|), the form
+    of P is unbounded below over the eliminated block for every value of
+    the rest, and every entry of the result is -inf.
 
     Parameters
     ----------
     check_psd : bool
-        Enforce the precondition lam_min(P) >= -1e-8 ||P||_2.  Callers that
-        deliberately probe indefinite P (e.g. past a stability boundary)
-        may disable the check.
+        Enforce the precondition lam_min(P) >= -1e-8 ||P||_2 (one eigvalsh
+        of P) before eliminating.
     """
     P = _as_square(P, "P")
     d = P.shape[0]
@@ -342,6 +344,9 @@ def schur_complement(P, p, check_psd=True):
         S = X - G.T @ G
     else:
         zw, zV = sym_eigen(Z)
+        # Rounding in P leaves eigenvalues of Z of either sign at P's scale.
+        if not _is_psd(float(zw[0]), max(float(zw[-1]), float(np.abs(P).max()))):
+            return np.full((d - p, d - p), -np.inf)
         cutoff = p * np.finfo(float).eps * max(float(zw[-1]), 0.0)
         inv = np.zeros_like(zw)
         keep = zw > cutoff
@@ -349,6 +354,16 @@ def schur_complement(P, p, check_psd=True):
         G = zV.T @ B
         S = X - G.T @ (inv[:, None] * G)
     return 0.5 * (S + S.T)
+
+
+def _lower_bound(P, n, check_psd=True):
+    """The largest k with k ||x||^2 <= [y; x]' P [y; x] for all y, x of order n
+    (x is phi(0)): the least eigenvalue of the Schur complement eliminating y,
+    or -inf where its block is indefinite and the form has no lower bound."""
+    S = schur_complement(P, len(P) - n, check_psd=check_psd)
+    if S[0, 0] == -np.inf:
+        return -np.inf
+    return float(sym_eigen(S).eigenvalues[0])
 
 
 def expm(A):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
-from .linalg import ConvergenceError, DimensionError, expm, schur_complement, sym_eigen
+from .linalg import ConvergenceError, DimensionError, _lower_bound, expm
 from .spectral import NodeSet, cheb_nodes, gauss_legendre
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "build_delay_lyap",
     "assemble_quad",
     "k1_quad",
-    "k1_of_quad_matrix",
     "property_residuals",
 ]
 
@@ -265,17 +264,11 @@ def assemble_quad(dl, weights, rule="cc", N=40):
     return 0.5 * (P + P.T), grid
 
 
-def k1_of_quad_matrix(P, n, check_psd=True):
-    """Lower-bound coefficient of a quadrature matrix from assemble_quad:
-    the least eigenvalue of the Schur complement eliminating the history."""
-    S = schur_complement(P, P.shape[0] - n, check_psd=check_psd)
-    return float(sym_eigen(S).eigenvalues[0])
-
-
 def k1_quad(dl, weights, rule="cc", N=40, check_psd=True):
-    """Lower-bound coefficient computed from the quadrature matrix."""
+    """Lower-bound coefficient of the quadrature matrix, -inf where its
+    history block is indefinite; `check_psd` first tests the whole matrix."""
     P, _ = assemble_quad(dl, weights, rule=rule, N=N)
-    return k1_of_quad_matrix(P, dl.system.n, check_psd=check_psd)
+    return _lower_bound(P, dl.system.n, check_psd=check_psd)
 
 
 _RESIDUAL_POINTS = 25

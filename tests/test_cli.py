@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -201,6 +202,16 @@ def test_eval_polynomial_phi(tmp_path, capsys):
     assert payload["phi"] == "polynomial" and payload["value"] > 0.0
 
 
+@pytest.mark.parametrize("phi", [{"constant": [float("nan"), 1.0]},
+                                 {"polynomial": [[1.0, float("inf")]]}])
+def test_eval_rejects_non_finite_phi(tmp_path, capsys, phi):
+    # json.dumps writes the literals NaN and Infinity, which json.loads accepts.
+    cfg = write_config(tmp_path, phi=phi)
+    assert main(["eval", "--config", cfg]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite" in captured.err
+
+
 def test_k1_delay_free_builtin(capsys):
     payload = run_json(capsys, "k1", "--config", "delay-free")
     npt.assert_allclose(payload["k1"], 0.5, atol=1e-8)
@@ -262,6 +273,22 @@ def test_critical_delay_errors(tmp_path, capsys):
     assert main(["critical-delay", "--config", "example2",
                  "--bracket", "1:inf"]) == cli.EXIT_CONFIG
     assert "'1:inf'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--bracket", "0:5"], ["--bracket=-1:5"],
+                                  ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"]])
+def test_critical_delay_bad_arguments_are_usage_errors(capsys, args):
+    assert main(["critical-delay", "--config", "example2", *args]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+
+
+def test_sweep_k1_past_the_margin_is_minus_inf(capsys):
+    # Example 2's margin is 6.1726; past it V has no lower bound.
+    code, out = run(capsys, "sweep", "--config", "example2", "--axis", "h",
+                    "--range", "7:8", "--steps", "2")
+    assert code == cli.EXIT_OK
+    header, rows = parse_csv(out)
+    assert [row[header.index("k1")] for row in rows] == ["-inf", "-inf"]
 
 
 def test_sweep_h_axis_baselines(capsys):
@@ -443,6 +470,25 @@ def test_validate_delay_free_all_methods(capsys):
 def test_validate_example2_spread(capsys):
     report = run_json(capsys, "validate", "--config", "example2", "-N", "80")
     assert report["k1"]["rel_spread"] <= 1e-3
+
+
+def test_validate_past_the_margin(tmp_path, capsys, monkeypatch):
+    # Every route gives -inf at h = 7, and the spread of equal values is 0.
+    cfg = write_config(tmp_path, h=7.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_json(capsys, "validate", "--config", cfg, "-N", "12")
+    k1s = report["k1"]
+    assert k1s.pop("rel_spread") == 0.0
+    assert k1s == dict.fromkeys(("cheb", "legendre", "quad_cc", "quad_gauss"), "-inf")
+    # One -inf among finite values spreads infinitely.
+    finite = lkapprox.functional.k1
+    monkeypatch.setattr(lkapprox.functional, "k1", lambda fa, check_psd=True: (
+        -np.inf if fa.scheme == "cheb" else finite(fa, check_psd)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_json(capsys, "validate", "--config", "example2", "-N", "12")
+    assert report["k1"]["cheb"] == "-inf" and report["k1"]["rel_spread"] == "inf"
 
 
 def test_validate_marks_failures(tmp_path, capsys):

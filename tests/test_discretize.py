@@ -74,6 +74,14 @@ def test_function_spec_variants():
         bad(0.0)
 
 
+def test_function_spec_rejects_non_finite_entries():
+    # A config's JSON may hold the literals NaN and Infinity.
+    with pytest.raises(ValueError, match="non-finite"):
+        FunctionSpec.constant([np.nan, 1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        FunctionSpec.polynomial([[1.0, np.inf]])
+
+
 def test_cheb_model_scalar_order_one():
     model = build_cheb_model(RfdeSystem([[-0.5]], [[-1.0]], 2.0), 1)
     npt.assert_allclose(model.A, [[-0.5, 0.5], [-1.0, -0.5]])

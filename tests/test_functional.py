@@ -27,7 +27,7 @@ from lkapprox import (
     evaluate,
     k1,
 )
-from lkapprox.discretize import build_leg_model, build_model, discretize_leg
+from lkapprox.discretize import _to_combined, build_leg_model, build_model, discretize_leg
 from lkapprox.functional import _itp, baseline_k1, critical_delay
 from lkapprox.linalg import ConvergenceError, DimensionError, is_hurwitz, solve_lyapunov
 from lkapprox.oracle import build_delay_lyap, k1_quad
@@ -356,6 +356,57 @@ def test_build_psd_and_k1_bounds_v(drawn, h, N, scheme, data):
     assert evaluate(fa, phi) >= k1(fa) * float(x @ x) * (1.0 - 1e-10)
 
 
+# ROADMAP item 8's cheb-vs-tau property, in the two-sided form the data
+# supports.  On 150 draws of this strategy (the same h and Q2 = C C'),
+# |cheb k1 - tau k1| / |tau k1| was at most 1.6e-2 at N = 20 and 3.9e-3 at
+# N = 40 (1.3e-2 and 3.2e-3 on these 60), and the cheb k1 lay *above* the
+# tau k1 in 147 of the 150: collocation k1 is not a conservative bound.
+# Each bound is the 150-draw maximum times ~3.2.
+_CHEB_TAU_REL = {20: 5e-2, 40: 1.25e-2}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_stable_systems(), st.floats(0.1, 5.0), st.data())
+def test_cheb_k1_tracks_tau_k1(drawn, h, data):
+    A0, A1, Q0, Q1, _ = drawn
+    n = len(A0)
+    C2 = data.draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    system, weights = RfdeSystem(A0, A1, h), CostWeights(Q0, Q1, C2 @ C2.T)
+    for N, rel in _CHEB_TAU_REL.items():
+        tau = k1(build_functional(system, weights, "legendre", N))
+        cheb = k1(build_functional(system, weights, "cheb", N))
+        assert abs(cheb - tau) <= rel * abs(tau)
+
+
+def test_k1_is_minus_inf_past_the_margin(ex2_system, ex2_weights):
+    # Example 2 at h = 7, past its margin 6.1726: the history block is
+    # indefinite, so V / ||phi(0)||^2 is unbounded below on every route.
+    system = dataclasses.replace(ex2_system, h=7.0)
+    fa = build_functional(system, ex2_weights, "legendre", 20)
+    M = _to_combined(fa.P, fa.model.e, 2, rows=True)
+    v = np.linalg.eigh(M[:-2, :-2])[1][:, 0]
+    x = np.concatenate([1e3 * v, [1.0, 0.0]])   # phi(0) = (1, 0)
+    assert x @ M @ x < -1e8
+    for scheme in ("legendre", "cheb"):
+        fa = build_functional(system, ex2_weights, scheme, 20)
+        assert k1(fa, check_psd=False) == -np.inf
+    dl = build_delay_lyap(system, ex2_weights)
+    for rule in ("cc", "gauss"):
+        assert k1_quad(dl, ex2_weights, rule, 20, check_psd=False) == -np.inf
+
+
+def test_k1_delay_free_history_block_keeps_finite_bound():
+    # Delay-free with Q1 = 0: the history block is zero, exactly for the
+    # collocation and the quadrature, and up to rounding of either sign
+    # (~1e-14) in the tau's combined coordinates.  k1 stays 1/2.
+    for scheme in ("cheb", "legendre"):
+        assert abs(k1(_delay_free_fa(scheme, N=40)) - 0.5) <= 1e-9
+    fa = _delay_free_fa("legendre")
+    dl = build_delay_lyap(fa.system, fa.weights)
+    for rule in ("cc", "gauss"):
+        assert abs(k1_quad(dl, fa.weights, rule, 12) - 0.5) <= 1e-12
+
+
 def _count_calls(monkeypatch, counts, key, owner, name):
     fn = getattr(owner, name)
 
@@ -385,7 +436,6 @@ def test_build_k1_factors_each_symmetric_matrix_once(monkeypatch, scheme):
     w = CostWeights(np.eye(6), np.eye(6), 0.3 * np.eye(6))
     counts = {"sym_eigen": 0, "solve": 0}
     _count_calls(monkeypatch, counts, "sym_eigen", lkapprox.linalg, "sym_eigen")
-    _count_calls(monkeypatch, counts, "sym_eigen", lkapprox.functional, "sym_eigen")
     _count_calls(monkeypatch, counts, "solve", np.linalg, "solve")
     k1(build_functional(system, w, scheme, 40))
     assert counts == {"sym_eigen": 1, "solve": 0}
@@ -479,6 +529,12 @@ def test_critical_delay_bracket_errors():
     # A bracket around 10 cannot shrink below its float spacing, 1.8e-15.
     with pytest.raises(ValueError, match="floating-point resolution"):
         critical_delay(sys_, "legendre", N=10, bracket=(1.0, 10.0), tol=1e-15)
+
+
+def test_critical_delay_rejects_infinite_tol(ex2_system):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        critical_delay(ex2_system, "legendre", N=10, bracket=(1.0, 10.0),
+                       tol=float("inf"))
 
 
 def test_split_components_closed_forms(ex2_system):

@@ -276,6 +276,14 @@ def test_schur_complement_rejects_indefinite():
     assert S.shape == (1, 1)
 
 
+def test_schur_complement_indefinite_block_is_minus_inf():
+    # An indefinite eliminated block leaves the form unbounded below for
+    # every value of the rest.  A zero block fails nothing: it is PSD.
+    S = schur_complement(np.diag([1.0, -1.0, 1.0]), 2, check_psd=False)
+    assert S.shape == (1, 1) and S[0, 0] == -np.inf
+    npt.assert_array_equal(schur_complement(np.diag([0.0, 0.0, 2.0]), 2), [[2.0]])
+
+
 def test_expm_trivial():
     npt.assert_allclose(expm(np.zeros((2, 2))), np.eye(2))
     npt.assert_allclose(expm(np.diag([1.0, -1.0])), np.diag([np.e, 1.0 / np.e]))
