@@ -54,7 +54,6 @@ from .spectral import (
     cheb_diffmat,
     cheb_nodes,
     gauss_legendre,
-    legendre_vals,
     transform_leg_to_chebvals,
 )
 

@@ -314,11 +314,11 @@ def cmd_k1(cfg, args):
 def cmd_critical_delay(cfg, args):
     scheme, N = _scheme_and_N(cfg, args)
     lo, hi = _parse_range(args.bracket or "1:10")
-    if lo <= 0.0:
-        raise ConfigError("h bracket must stay positive")
-    tol = args.tol if args.tol is not None else 1e-4
-    if not 0.0 < tol < math.inf:   # NaN included
-        raise ConfigError(f"--tol must be positive and finite, got {tol!r}")
+    tol = 1e-4 if args.tol is None else args.tol
+    try:
+        lo, hi, tol = functional._check_bracket((lo, hi), tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     h_crit = functional.critical_delay(
         cfg.system, scheme=scheme, N=N, bracket=(lo, hi), tol=tol
     )
@@ -375,7 +375,8 @@ def cmd_sweep(cfg, args):
     lo, hi = _parse_range(args.range)
     scheme, N_fixed = _scheme_and_N(cfg, args)
     if args.axis == "N":
-        values = [int(round(v)) for v in np.linspace(lo, hi, steps)]
+        # Rounding can repeat an order; each is built once, in first-seen order.
+        values = list(dict.fromkeys(int(round(v)) for v in np.linspace(lo, hi, steps)))
         if min(values) < 1:
             raise ConfigError("N sweep range must stay >= 1")
     else:

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 
 from .linalg import DimensionError, _symmetrized, is_hurwitz
 from .spectral import (
     cheb_diffmat,
     cheb_nodes,
     gauss_legendre,
-    legendre_vals,
     transform_leg_to_chebvals,
 )
 
@@ -330,7 +330,7 @@ def discretize_leg(phi, N, h):
     vals = _sample_matrix(phi, rule.nodes)              # (N+2, n)
     unit_w = rule.weights * (2.0 / float(h))            # weights on [-1, 1]
     unit_x = 2.0 * rule.nodes / float(h) + 1.0
-    table = legendre_vals(N - 1, unit_x)
+    table = legvander(unit_x, N - 1)
     zeta = np.zeros(n * (N + 1))
     for k in range(N):
         coef = (2.0 * k + 1.0) / 2.0

@@ -269,6 +269,22 @@ def _itp(f, lo, hi, f_lo, f_hi, tol):
     return lo, hi, steps
 
 
+def _check_bracket(bracket, tol):
+    """The bracket and tol of `critical_delay` as floats, or ValueError."""
+    h_lo, h_hi = float(bracket[0]), float(bracket[1])
+    if not (0.0 < h_lo < h_hi < np.inf):
+        raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
+    tol = float(tol)
+    if not 0.0 < tol < np.inf:   # NaN included
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not tol > 8.0 * np.spacing(h_hi):
+        # Below a few ulps of h no bracket can shrink to tol: the search
+        # would never end.
+        raise ValueError(f"tol {tol!r} is below the floating-point resolution "
+                         f"of h near {h_hi}")
+    return h_lo, h_hi, tol
+
+
 def critical_delay(system, scheme="legendre", N=20, bracket=(1.0, 10.0), tol=1e-4):
     """Delay at which the closure's spectral abscissa crosses zero.
 
@@ -282,17 +298,7 @@ def critical_delay(system, scheme="legendre", N=20, bracket=(1.0, 10.0), tol=1e-
     ValueError for a bad bracket or a `tol` at or below 8 ulps of its upper
     end, which no bracket can reach.
     """
-    h_lo, h_hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < h_lo < h_hi < np.inf):
-        raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
-    tol = float(tol)
-    if not 0.0 < tol < np.inf:   # NaN included
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if not tol > 8.0 * np.spacing(h_hi):
-        # Below a few ulps of h no bracket can shrink to tol: the search
-        # would never end.
-        raise ValueError(f"tol {tol!r} is below the floating-point resolution "
-                         f"of h near {h_hi}")
+    h_lo, h_hi, tol = _check_bracket(bracket, tol)
 
     def _abscissa(h):
         model = build_model(dataclasses.replace(system, h=h), scheme, N)

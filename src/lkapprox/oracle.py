@@ -233,11 +233,7 @@ def assemble_quad(dl, weights, rule="cc", N=40):
         grid = cheb_nodes(int(N), h)
     elif rule == "gauss":
         g = gauss_legendre(int(N), h)
-        grid = NodeSet(
-            "gauss0", h,
-            np.append(g.nodes, 0.0),
-            np.append(g.weights, 0.0),
-        )
+        grid = NodeSet(np.append(g.nodes, 0.0), np.append(g.weights, 0.0))
     else:
         raise ValueError(f"unknown quadrature rule {rule!r}")
 

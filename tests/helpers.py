@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from numpy.polynomial.legendre import legvander
 
 from lkapprox import RfdeSystem
 from lkapprox.linalg import expm, schur_complement, solve_lyapunov, sym_eigen
-from lkapprox.spectral import NodeSet, cheb_nodes, gauss_legendre, legendre_vals
+from lkapprox.spectral import NodeSet, cheb_nodes, gauss_legendre
 
 
 def newton_char_root(seed, A0, A1, h, iters=80):
@@ -194,7 +195,7 @@ def loop_assemble_quad(dl, weights, rule="cc", N=40):
         grid = cheb_nodes(int(N), h)
     else:
         g = gauss_legendre(int(N), h)
-        grid = NodeSet("gauss0", h, np.append(g.nodes, 0.0), np.append(g.weights, 0.0))
+        grid = NodeSet(np.append(g.nodes, 0.0), np.append(g.weights, 0.0))
 
     t = grid.nodes
     w = grid.weights
@@ -325,7 +326,7 @@ def quad_k1(dl, weights, M=16, m=30):
 
     def basis(points):
         # Row q holds the M orthonormal Legendre values at points[q].
-        return legendre_vals(M - 1, 2.0 * np.asarray(points) / h + 1.0) * scale
+        return legvander(2.0 * np.asarray(points) / h + 1.0, M - 1) * scale
 
     outer = gauss_legendre(m, h)
     t, wt = outer.nodes, outer.weights

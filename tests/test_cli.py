@@ -276,7 +276,8 @@ def test_critical_delay_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [["--bracket", "0:5"], ["--bracket=-1:5"],
-                                  ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"]])
+                                  ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+                                  ["--tol", "1e-16"]])
 def test_critical_delay_bad_arguments_are_usage_errors(capsys, args):
     assert main(["critical-delay", "--config", "example2", *args]) == cli.EXIT_CONFIG
     assert capsys.readouterr().out == ""
@@ -328,6 +329,14 @@ def test_sweep_N_axis_roundtrip(capsys):
     for r in rows:
         for cell in r[1:3] + [r[4]]:
             assert cli._fmt(float(cell)) == cell
+
+
+def test_sweep_N_axis_builds_each_order_once(capsys):
+    # 5 steps over 1:3 round to 1, 2, 2, 2, 3.
+    code, out = run(capsys, "sweep", "--config", "example2",
+                    "--axis", "N", "--range", "1:3", "--steps", "5")
+    assert code == cli.EXIT_OK
+    assert [r[0] for r in parse_csv(out)[1]] == ["1", "2", "3"]
 
 
 def test_sweep_starts_no_threads(capsys, monkeypatch):

@@ -1,15 +1,13 @@
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
-from numpy.polynomial import legendre as npleg
+from numpy.polynomial.legendre import legvander
 
-from lkapprox.linalg import DimensionError
 from lkapprox.spectral import (
-    NodeSet,
     cheb_diffmat,
     cheb_nodes,
     gauss_legendre,
-    legendre_vals,
     transform_leg_to_chebvals,
 )
 
@@ -112,6 +110,28 @@ def test_gauss_legendre_exactness_and_symmetry():
             npt.assert_allclose(val, exact, rtol=1e-11, atol=1e-12 * h**deg)
 
 
+def test_gauss_legendre_matches_extended_precision():
+    # 40-digit reference: Newton on P_n from the float nodes, then
+    # w = 2 / ((1 - x^2) P_n'(x)^2) with P_n' = n (x P_n - P_{n-1}) / (x^2 - 1).
+    # On h = 2 the grid is the unit rule shifted by -1.
+    with mpmath.workdps(40):
+        for count in (3, 12, 42, 160):
+            rule = gauss_legendre(count, 2.0)
+            ref_x, ref_w = [], []
+            for node in rule.nodes:
+                # Quadratic convergence from a double: the last step's x and
+                # P_n' are exact to the working precision.
+                x = mpmath.mpf(float(node)) + 1
+                for _ in range(3):
+                    p = mpmath.legendre(count, x)
+                    dp = count * (x * p - mpmath.legendre(count - 1, x)) / (x * x - 1)
+                    x -= p / dp
+                ref_x.append(float(x - 1))
+                ref_w.append(float(2 / ((1 - x * x) * dp * dp)))
+            npt.assert_allclose(rule.nodes, ref_x, rtol=0.0, atol=1e-15)
+            npt.assert_allclose(rule.weights, ref_w, rtol=0.0, atol=1e-14)
+
+
 def test_gauss_matches_clenshaw_curtis_on_random_polys():
     h = 2.0
     for _ in range(10):
@@ -121,46 +141,6 @@ def test_gauss_matches_clenshaw_curtis_on_random_polys():
         val_cc = cc.weights @ np.polyval(coeffs, cc.nodes)
         val_g = g.weights @ np.polyval(coeffs, g.nodes)
         npt.assert_allclose(val_cc, val_g, rtol=1e-12, atol=1e-12)
-
-
-def test_nodeset_validation():
-    with pytest.raises(ValueError):
-        NodeSet("cheb", 1.0, np.array([-1.0, 0.5, 0.0]), np.full(3, 1 / 3))
-    with pytest.raises(ValueError):
-        NodeSet("cheb", 1.0, np.array([-1.0, -0.5, 0.0]), np.full(3, 0.2))
-    with pytest.raises(ValueError):
-        NodeSet("gauss", 1.0, np.array([-1.0, -0.5]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        NodeSet("nope", 1.0, np.array([-0.5]), np.array([1.0]))
-    with pytest.raises(DimensionError):
-        NodeSet("gauss", 1.0, np.array([-0.5]), np.array([0.5, 0.5]))
-
-
-def test_legendre_vals_endpoints():
-    table = legendre_vals(9, [-1.0, 1.0])
-    npt.assert_allclose(table[1], np.ones(10))
-    npt.assert_allclose(table[0], (-1.0) ** np.arange(10))
-
-
-def test_legendre_vals_quadratic_at_zero():
-    npt.assert_allclose(legendre_vals(2, [0.0])[0, 2], -0.5)
-
-
-def test_legendre_vals_matches_numpy_reference():
-    x = rng.uniform(-1.0, 1.0, size=40)
-    table = legendre_vals(12, x)
-    for k in range(13):
-        ref = npleg.legval(x, np.eye(13)[k])
-        npt.assert_allclose(table[:, k], ref, atol=1e-13)
-
-
-def test_legendre_vals_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        legendre_vals(-1, [0.0])
-    with pytest.raises(ValueError):
-        legendre_vals(3, [0.0, 1.5])
-    with pytest.raises(DimensionError):
-        legendre_vals(3, np.zeros((2, 2)))
 
 
 def test_transform_small_case():
@@ -193,7 +173,7 @@ def test_transform_recovers_basis_coefficient():
     N = 5
     grid = cheb_nodes(N, 2.0)
     unit = 2.0 * grid.nodes / 2.0 + 1.0
-    samples = legendre_vals(3, unit)[:, 3]
+    samples = legvander(unit, 3)[:, 3]
     _, T_vc = transform_leg_to_chebvals(N, 1)
     npt.assert_allclose(T_vc @ samples, np.eye(N + 1)[3], atol=1e-12)
 
@@ -203,6 +183,6 @@ def test_transform_consistency_with_direct_evaluation():
     coeffs = rng.standard_normal(N + 1)
     grid = cheb_nodes(N, 1.0)
     unit = 2.0 * grid.nodes + 1.0
-    direct = legendre_vals(N, unit) @ coeffs
+    direct = legvander(unit, N) @ coeffs
     T_cv, _ = transform_leg_to_chebvals(N, 1)
     npt.assert_allclose(T_cv @ coeffs, direct, atol=1e-11)
