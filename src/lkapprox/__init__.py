@@ -5,20 +5,13 @@ derivative weights (Q0, Q1, Q2) through two spectral ODE closures
 (Chebyshev collocation and Legendre tau), extracts the tight quadratic
 lower-bound coefficient, and cross-checks everything against a delay
 Lyapunov matrix quadrature route.
+
+The top level holds what the `lk` command, the demos and the benchmark
+call; the closures, grids and linear-algebra primitives stay importable
+from their own modules.
 """
 
-from .discretize import (
-    CostWeights,
-    DiscreteModel,
-    FunctionSpec,
-    RfdeSystem,
-    build_cheb_model,
-    build_leg_model,
-    build_model,
-    condition1_check,
-    discretize_cheb,
-    discretize_leg,
-)
+from .discretize import CostWeights, FunctionSpec, RfdeSystem
 from .functional import (
     FunctionalApprox,
     baseline_k1,
@@ -33,13 +26,7 @@ from .linalg import (
     NumericalFailureError,
     RangeError,
     SingularOperatorError,
-    SymEigen,
     eigenvalues,
-    expm,
-    is_hurwitz,
-    schur_complement,
-    solve_lyapunov,
-    sym_eigen,
 )
 from .oracle import (
     DelayLyapunovMatrix,
@@ -48,13 +35,6 @@ from .oracle import (
     build_delay_lyap,
     k1_quad,
     property_residuals,
-)
-from .spectral import (
-    NodeSet,
-    cheb_diffmat,
-    cheb_nodes,
-    gauss_legendre,
-    transform_leg_to_chebvals,
 )
 
 __version__ = "0.1.0"

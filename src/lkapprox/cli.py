@@ -26,7 +26,7 @@ import numpy as np
 
 from . import functional, oracle
 from .discretize import (COORDINATES, SCHEMES, CostWeights, FunctionSpec, RfdeSystem,
-                         build_model)
+                         _check_dimensions, build_model)
 from .linalg import (
     ConvergenceError,
     NumericalFailureError,
@@ -132,19 +132,12 @@ def _load_config(path_or_name):
         if key not in raw:
             raise ConfigError(f"config is missing required key {key!r}")
     try:
-        A0 = np.asarray(raw["A0"], dtype=float)
-        system = RfdeSystem(A0=A0, A1=np.asarray(raw["A1"], dtype=float),
-                            h=float(raw["h"]))
+        system = RfdeSystem(A0=raw["A0"], A1=raw["A1"], h=raw["h"])
         n = system.n
         Q2 = raw.get("Q2")
-        Q2 = np.zeros((n, n)) if Q2 is None else np.asarray(Q2, dtype=float)
-        weights = CostWeights(
-            Q0=np.asarray(raw["Q0"], dtype=float),
-            Q1=np.asarray(raw["Q1"], dtype=float),
-            Q2=Q2,
-        )
-        if weights.n != n:
-            raise ValueError("weight and system dimensions differ")
+        weights = CostWeights(Q0=raw["Q0"], Q1=raw["Q1"],
+                              Q2=np.zeros((n, n)) if Q2 is None else Q2)
+        _check_dimensions(system, weights)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
@@ -204,7 +197,7 @@ def _scheme_and_N(cfg, args):
         N = cfg.N
     if N < 1:
         raise ConfigError(f"N must be an integer >= 1, got {N}")
-    return scheme, int(N)
+    return scheme, N
 
 
 def _spectrum_payload(cfg, scheme, N):
@@ -444,7 +437,7 @@ def cmd_validate(cfg, args):
                 if route == "quad_cc":   # the gauss nodes are not the closures' grid
                     mats[route] = P
                 key = f"k1_{route}"
-                k1s[route] = _lower_bound(P, cfg.system.n, check_psd=False)
+                k1s[route] = _lower_bound(P, cfg.system.n)
         except _NUMERIC_ERRORS as exc:
             failures[key] = f"{type(exc).__name__}: {exc}"
 

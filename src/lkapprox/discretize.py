@@ -15,8 +15,10 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
-from .linalg import DimensionError, _symmetrized, is_hurwitz
+from .linalg import DimensionError, _as_square, _symmetrized, is_hurwitz
 from .spectral import (
+    _check_h,
+    _check_order,
     cheb_diffmat,
     cheb_nodes,
     gauss_legendre,
@@ -69,18 +71,11 @@ class RfdeSystem:
     h: float
 
     def __post_init__(self):
-        A0 = np.asarray(self.A0, dtype=float)
-        if A0.ndim != 2 or A0.shape[0] != A0.shape[1] or A0.shape[0] == 0:
-            raise DimensionError(f"A0 must be square and nonempty, got shape {A0.shape}")
-        n = A0.shape[0]
-        A1 = _square(self.A1, n, "A1")
-        _finite(A0, "A0")
-        h = float(self.h)
-        if not np.isfinite(h) or h <= 0.0:
-            raise ValueError(f"delay h must be positive and finite, got {self.h!r}")
+        A0 = _as_square(self.A0, "A0")
+        A1 = _square(self.A1, A0.shape[0], "A1")
         object.__setattr__(self, "A0", _frozen_array(A0))
         object.__setattr__(self, "A1", _frozen_array(A1))
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h", _check_h(self.h))
 
     @property
     def n(self):
@@ -101,17 +96,10 @@ class CostWeights:
     Q2: np.ndarray
 
     def __post_init__(self):
-        Q0 = np.asarray(self.Q0, dtype=float)
-        if Q0.ndim != 2 or Q0.shape[0] != Q0.shape[1] or Q0.shape[0] == 0:
-            raise DimensionError(f"Q0 must be square and nonempty, got shape {Q0.shape}")
-        n = Q0.shape[0]
-        mats = []
+        n = _as_square(self.Q0, "Q0").shape[0]
         for name in ("Q0", "Q1", "Q2"):
             M = _square(getattr(self, name), n, name)
-            mats.append(_frozen_array(_symmetrized(M, name)))
-        object.__setattr__(self, "Q0", mats[0])
-        object.__setattr__(self, "Q1", mats[1])
-        object.__setattr__(self, "Q2", mats[2])
+            object.__setattr__(self, name, _frozen_array(_symmetrized(M, name)))
 
     @property
     def n(self):
@@ -212,8 +200,6 @@ class DiscreteModel:
     M2: np.ndarray
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         for name in ("A", "e", "M1", "M2"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
@@ -231,7 +217,7 @@ def build_cheb_model(system, N):
     Clenshaw-Curtis rules diag(w) and diag(w (h + theta)).
     """
     n = system.n
-    N = int(N)
+    N = _check_order(N)
     grid = cheb_nodes(N, system.h)
     D = cheb_diffmat(N, system.h)
     top = np.kron(D[:N, :], np.eye(n))
@@ -257,7 +243,7 @@ def build_leg_model(system, N):
     endpoint matcher, carries no mass.
     """
     n = system.n
-    N = int(N)
+    N = _check_order(N)
     h = system.h
     Dc = np.zeros((N + 1, N + 1))
     for j in range(N):
@@ -283,6 +269,14 @@ def build_model(system, scheme, N):
     if scheme == "cheb":
         return build_cheb_model(system, N)
     return build_leg_model(system, N)
+
+
+def _check_dimensions(system, weights):
+    """DimensionError unless the weights have the system's dimension."""
+    if weights.n != system.n:
+        raise DimensionError(
+            f"weights are {weights.n}-dimensional but the system is {system.n}-dimensional"
+        )
 
 
 def _coordinates(model, phi):
@@ -319,9 +313,7 @@ def discretize_leg(phi, N, h):
     segment always attains the true phi(0).
     """
     n = phi.n
-    N = int(N)
-    if N < 1:
-        raise ValueError(f"order must be an integer >= 1, got {N!r}")
+    N = _check_order(N)
     if phi.kind == "constant":
         zeta = np.zeros(n * (N + 1))
         zeta[:n] = phi.data

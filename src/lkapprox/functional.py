@@ -20,6 +20,7 @@ from .discretize import (
     CostWeights,
     DiscreteModel,
     RfdeSystem,
+    _check_dimensions,
     _coordinates,
     _grid_map,
     _to_combined,
@@ -104,18 +105,12 @@ def build_functional(system, weights, scheme="legendre", N=20, *,
     allow_incomplete : bool
         Waive the complete-type requirement Q0 > 0, Q1 > 0, Q2 >= 0.
     """
-    if weights.n != system.n:
-        raise DimensionError(
-            f"weights are {weights.n}-dimensional but the system is {system.n}-dimensional"
-        )
+    _check_dimensions(system, weights)
     if not allow_incomplete and not weights.is_complete():
         raise ValueError(
             "weights do not satisfy the complete-type contract "
             "(Q0 > 0, Q1 > 0, Q2 >= 0); pass allow_incomplete=True to waive"
         )
-    N = int(N)
-    if N < 1:
-        raise ValueError(f"order must be an integer >= 1, got {N!r}")
 
     model = build_model(system, scheme, N)
     e_e = np.outer(model.e, model.e)
@@ -128,7 +123,7 @@ def build_functional(system, weights, scheme="legendre", N=20, *,
     ew = np.linalg.eigvalsh(P)
     lam_min, lam_max = float(ew[0]), float(ew[-1])
     return FunctionalApprox(
-        scheme=scheme, system=system, weights=weights, N=N, model=model,
+        scheme=scheme, system=system, weights=weights, N=model.N, model=model,
         P=P, residual=sol.residual,
         hurwitz=max_re < 0.0, max_re=max_re,
         lam_min=lam_min, lam_max=lam_max, psd=_is_psd(lam_min, lam_max),
@@ -160,7 +155,7 @@ def k1(fa, check_psd=True):
             "pass check_psd=False to evaluate anyway"
         )
     n = fa.system.n
-    return _lower_bound(_to_combined(fa.P, fa.model.e, n, rows=True), n, check_psd=False)
+    return _lower_bound(_to_combined(fa.P, fa.model.e, n, rows=True), n)
 
 
 def baseline_k1(system, weights, method="norm-ratio"):
@@ -175,8 +170,7 @@ def baseline_k1(system, weights, method="norm-ratio"):
     `_range_pencil`).  Raises ConvergenceError when mu_min >= 0, where no
     finite alpha bounds the feasible set.
     """
-    if weights.n != system.n:
-        raise DimensionError("weights and system dimensions differ")
+    _check_dimensions(system, weights)
     n = system.n
     if method == "norm-ratio":
         a0 = float(np.linalg.norm(system.A0, 2))

@@ -290,7 +290,7 @@ def _is_psd(lam_min, lam_max):
     return lam_min >= -1e-8 * max(abs(lam_min), abs(lam_max))
 
 
-def schur_complement(P, p, check_psd=True):
+def schur_complement(P, p):
     """Generalized Schur complement X - B^T Z^+ B of the leading p x p block.
 
     P is partitioned as [[Z, B], [B^T, X]] with Z of order p.  Z is factored
@@ -301,28 +301,14 @@ def schur_complement(P, p, check_psd=True):
     p * eps * lam_max(Z).  Where those eigenvalues fail the positivity rule
     lam_min(Z) >= -1e-8 max(|lam_min(Z)|, lam_max(Z), max |P_ij|), the form
     of P is unbounded below over the eliminated block for every value of
-    the rest, and every entry of the result is -inf.
-
-    Parameters
-    ----------
-    check_psd : bool
-        Enforce the precondition lam_min(P) >= -1e-8 ||P||_2 (one eigvalsh
-        of P) before eliminating.
+    the rest, and every entry of the result is -inf.  P itself is not
+    tested for positivity.
     """
     P = _as_square(P, "P")
     d = P.shape[0]
     if not 0 <= p < d:
         raise DimensionError(f"block order p={p} must satisfy 0 <= p < {d}")
     P = _symmetrized(P, "P")
-
-    if check_psd:
-        w = np.linalg.eigvalsh(P)
-        if not _is_psd(float(w[0]), float(w[-1])):
-            nrm2 = max(abs(float(w[0])), abs(float(w[-1])))
-            raise ValueError(
-                f"P is indefinite (lam_min = {w[0]:.3e}, ||P||_2 = {nrm2:.3e})"
-            )
-
     if p == 0:
         return P.copy()
 
@@ -356,11 +342,11 @@ def schur_complement(P, p, check_psd=True):
     return 0.5 * (S + S.T)
 
 
-def _lower_bound(P, n, check_psd=True):
+def _lower_bound(P, n):
     """The largest k with k ||x||^2 <= [y; x]' P [y; x] for all y, x of order n
     (x is phi(0)): the least eigenvalue of the Schur complement eliminating y,
     or -inf where its block is indefinite and the form has no lower bound."""
-    S = schur_complement(P, len(P) - n, check_psd=check_psd)
+    S = schur_complement(P, len(P) - n)
     if S[0, 0] == -np.inf:
         return -np.inf
     return float(sym_eigen(S).eigenvalues[0])

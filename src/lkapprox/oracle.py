@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
-from .linalg import ConvergenceError, DimensionError, _lower_bound, expm
+from .discretize import _check_dimensions
+from .linalg import ConvergenceError, _is_psd, _lower_bound, expm
 from .spectral import NodeSet, cheb_nodes, gauss_legendre
 
 __all__ = [
@@ -157,11 +158,8 @@ def _flow_series(M, u0, h):
 
 def build_delay_lyap(system, weights):
     """Construct Psi for the system under the lumped weight Q0 + Q1 + h Q2."""
+    _check_dimensions(system, weights)
     n = system.n
-    if weights.n != n:
-        raise DimensionError(
-            f"weights are {weights.n}-dimensional but the system is {n}-dimensional"
-        )
     A0, A1, h = system.A0, system.A1, system.h
     Qt = weights.combined(h)
     eye = np.eye(n)
@@ -230,9 +228,9 @@ def assemble_quad(dl, weights, rule="cc", N=40):
             np.max(np.abs(Qt - dl.Qtilde)) <= 1e-12 * np.max(np.abs(dl.Qtilde))):
         raise ValueError("weights do not give the lumped weight Psi was built for")
     if rule == "cc":
-        grid = cheb_nodes(int(N), h)
+        grid = cheb_nodes(N, h)
     elif rule == "gauss":
-        g = gauss_legendre(int(N), h)
+        g = gauss_legendre(N, h)
         grid = NodeSet(np.append(g.nodes, 0.0), np.append(g.weights, 0.0))
     else:
         raise ValueError(f"unknown quadrature rule {rule!r}")
@@ -262,9 +260,17 @@ def assemble_quad(dl, weights, rule="cc", N=40):
 
 def k1_quad(dl, weights, rule="cc", N=40, check_psd=True):
     """Lower-bound coefficient of the quadrature matrix, -inf where its
-    history block is indefinite; `check_psd` first tests the whole matrix."""
+    history block is indefinite.  With check_psd a matrix that fails the
+    positivity rule lam_min >= -1e-8 ||P||_2 raises ValueError instead."""
     P, _ = assemble_quad(dl, weights, rule=rule, N=N)
-    return _lower_bound(P, dl.system.n, check_psd=check_psd)
+    if check_psd:
+        w = np.linalg.eigvalsh(P)
+        if not _is_psd(float(w[0]), float(w[-1])):
+            raise ValueError(
+                f"quadrature matrix is indefinite (lam_min = {w[0]:.3e}); "
+                "pass check_psd=False to evaluate anyway"
+            )
+    return _lower_bound(P, dl.system.n)
 
 
 _RESIDUAL_POINTS = 25

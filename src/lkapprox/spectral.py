@@ -7,6 +7,7 @@ tables are cached per N and rescaled on demand.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,16 +35,18 @@ class NodeSet:
 
 
 def _check_order(N):
-    if not isinstance(N, (int, np.integer)) or N < 1:
+    """N as an int, or ValueError unless it is an integer >= 1 (bool is not)."""
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
         raise ValueError(f"order must be an integer >= 1, got {N!r}")
-    return int(N)
+    return operator.index(N)
 
 
 def _check_h(h):
-    h = float(h)
-    if not np.isfinite(h) or h <= 0.0:
+    """h as a float, or ValueError unless it is positive and finite (bool is not)."""
+    value = np.nan if isinstance(h, (bool, np.bool_)) else float(h)
+    if not np.isfinite(value) or value <= 0.0:
         raise ValueError(f"delay h must be positive and finite, got {h!r}")
-    return h
+    return value
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import pathlib
+import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -69,6 +71,8 @@ def test_exit_code_config_errors(tmp_path, capsys):
                  write_config(tmp_path, N=0)]) == cli.EXIT_CONFIG
     assert main(["k1", "--config",
                  write_config(tmp_path, N=True)]) == cli.EXIT_CONFIG
+    assert main(["k1", "--config",
+                 write_config(tmp_path, h=True)]) == cli.EXIT_CONFIG
     assert main(["k1", "--config",
                  write_config(tmp_path, phi="pulse")]) == cli.EXIT_CONFIG
     assert main(["k1", "--config",
@@ -452,6 +456,34 @@ def test_public_names_resolve():
         mod = importlib.import_module(f"lkapprox.{short}")
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), (short, name)
+    # Every name the demos, the benchmark harness and the README quickstart
+    # take from the top level must be bound there; perfbench is outside
+    # tier-1, so this is what keeps its imports covered.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    sources = {"README.md": "\n".join(re.findall(r"```python\n(.*?)```", readme, re.S))}
+    for path in sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py")):
+        sources[str(path.relative_to(root))] = path.read_text(encoding="utf-8")
+    submodules = {m.name for m in pkgutil.iter_modules(lkapprox.__path__)}
+    taken = 0
+    for where, source in sources.items():
+        for name in _names_taken_from_lkapprox(source) - submodules:
+            assert hasattr(lkapprox, name), (where, name)
+            taken += 1
+    assert taken > 0
+
+
+def _names_taken_from_lkapprox(source):
+    """Names a Python source takes from the top-level lkapprox, by
+    `from lkapprox import name` or as `lkapprox.name`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "lkapprox":
+            names.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "lkapprox"):
+            names.add(node.attr)
+    return names
 
 
 def test_validate_example1(capsys, ex1_system, ex1_weights):

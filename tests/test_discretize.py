@@ -6,14 +6,10 @@ import pytest
 from numpy.polynomial.legendre import legvander
 
 from helpers import legendre_cost, newton_char_root
-from lkapprox import (
-    CostWeights,
-    FunctionSpec,
-    RfdeSystem,
+from lkapprox import CostWeights, FunctionSpec, RfdeSystem
+from lkapprox.discretize import (
     build_cheb_model,
     build_leg_model,
-)
-from lkapprox.discretize import (
     build_model,
     condition1_check,
     discretize_cheb,

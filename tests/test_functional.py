@@ -538,6 +538,26 @@ def test_critical_delay_rejects_infinite_tol(ex2_system):
                        tol=float("inf"))
 
 
+_BAD_ORDERS = (2.7, True, 0, -3, np.float64(20.0))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda s, w, N: build_functional(s, w, N=N), id="build_functional"),
+    pytest.param(lambda s, w, N: build_model(s, "cheb", N), id="build_model-cheb"),
+    pytest.param(lambda s, w, N: build_model(s, "legendre", N), id="build_model-legendre"),
+    pytest.param(lambda s, w, N: critical_delay(s, N=N), id="critical_delay"),
+    pytest.param(lambda s, w, N: discretize_leg(FunctionSpec.named("sin", s.n), N, s.h),
+                 id="discretize_leg"),
+    pytest.param(lambda s, w, N: k1_quad(build_delay_lyap(s, w), w, N=N), id="k1_quad"),
+])
+def test_bad_order_rejected(ex2_system, ex2_weights, call):
+    # Non-integral, boolean and non-positive orders are refused, not
+    # truncated to an integer or built into a degenerate closure.
+    for N in _BAD_ORDERS:
+        with pytest.raises(ValueError, match="order must be an integer >= 1"):
+            call(ex2_system, ex2_weights, N)
+
+
 def test_split_components_closed_forms(ex2_system):
     # The tau mass matrices are the closed forms diag(h/(2k+1), 0) and
     # (h/2)^2 tri, and both are the Gauss-quadrature moments of p_j p_k and

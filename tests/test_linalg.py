@@ -16,7 +16,8 @@ from helpers import (
     random_stable_matrix,
     relative_residual,
 )
-from lkapprox import RfdeSystem, build_cheb_model, build_leg_model
+from lkapprox import RfdeSystem
+from lkapprox.discretize import build_cheb_model, build_leg_model
 from lkapprox.linalg import (
     DimensionError,
     NumericalFailureError,
@@ -267,19 +268,10 @@ def test_schur_complement_orthogonal_block_invariance():
         npt.assert_allclose(S1, S2, rtol=1e-12, atol=1e-12 * np.max(np.abs(S1)))
 
 
-def test_schur_complement_rejects_indefinite():
-    P = np.diag([1.0, -1.0, 1.0])
-    with pytest.raises(ValueError):
-        schur_complement(P, 2)
-    # The unchecked variant still eliminates the leading block.
-    S = schur_complement(P, 2, check_psd=False)
-    assert S.shape == (1, 1)
-
-
 def test_schur_complement_indefinite_block_is_minus_inf():
     # An indefinite eliminated block leaves the form unbounded below for
     # every value of the rest.  A zero block fails nothing: it is PSD.
-    S = schur_complement(np.diag([1.0, -1.0, 1.0]), 2, check_psd=False)
+    S = schur_complement(np.diag([1.0, -1.0, 1.0]), 2)
     assert S.shape == (1, 1) and S[0, 0] == -np.inf
     npt.assert_array_equal(schur_complement(np.diag([0.0, 0.0, 2.0]), 2), [[2.0]])
 
