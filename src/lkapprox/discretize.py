@@ -146,11 +146,12 @@ class FunctionSpec:
 
     @staticmethod
     def from_callable(fn: Callable, n: int):
-        return FunctionSpec("callable", fn, int(n))
+        return FunctionSpec("callable", fn, _check_order(n, "dimension n"))
 
     @staticmethod
     def named(name, n):
         """Built-in segments: "one", "sin", and "exp-decay"."""
+        n = _check_order(n, "dimension n")
         if name == "one":
             return FunctionSpec.constant(np.ones(n))
         if name == "sin":

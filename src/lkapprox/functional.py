@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .discretize import (
     CostWeights,
@@ -166,9 +165,10 @@ def baseline_k1(system, weights, method="norm-ratio"):
     "alpha-max": the largest alpha keeping S + alpha M positive
     semidefinite, S = blkdiag(Q0, Q1) and M = [[A0' + A0, A1], [A1', 0]].
     For S > 0 it is -1/mu_min of the pencil (M, S), from one symmetric
-    definite eigensolve; a singular S is reduced to its range (see
-    `_range_pencil`).  Raises ConvergenceError when mu_min >= 0, where no
-    finite alpha bounds the feasible set.
+    eigensolve of L^-1 M L^-T after the Cholesky factorization S = L L';
+    a singular S, where that factorization fails, is reduced to its range
+    (see `_range_pencil`).  Raises ConvergenceError when mu_min >= 0, where
+    no finite alpha bounds the feasible set.
     """
     _check_dimensions(system, weights)
     n = system.n
@@ -183,15 +183,18 @@ def baseline_k1(system, weights, method="norm-ratio"):
     if method != "alpha-max":
         raise ValueError(f"unknown baseline method {method!r}")
 
-    S = scipy.linalg.block_diag(weights.Q0, weights.Q1)
-    M = np.block([[system.A0.T + system.A0, system.A1],
-                  [system.A1.T, np.zeros((n, n))]])
+    zero = np.zeros((n, n))
+    S = np.block([[weights.Q0, zero], [zero, weights.Q1]])
+    M = np.block([[system.A0.T + system.A0, system.A1], [system.A1.T, zero]])
     try:
-        mu = scipy.linalg.eigh(M, S, eigvals_only=True)
+        L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         mu = _range_pencil(S, M)
         if mu is None:
             return 0.0
+    else:
+        W = np.linalg.solve(L, np.linalg.solve(L, M).T)   # L^-1 M L^-T
+        mu = np.linalg.eigvalsh(0.5 * (W + W.T))
     if mu.size == 0 or mu[0] >= 0.0:
         raise ConvergenceError(
             "no finite feasibility bound for alpha; the loss matrix is not sign-definite"

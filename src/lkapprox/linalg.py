@@ -3,16 +3,21 @@
 Thin, contract-checked wrappers around LAPACK-backed routines plus the
 generalized Schur complement used for quadratic lower bounds.  All inputs
 are real; eigenvalues may come back complex.
+
+The four LAPACK and BLAS routines that NumPy's API lacks (dgees, dtrsyl,
+dpocon and dtrsv) are called through ctypes from the OpenBLAS that NumPy
+already loads; its wheels export them as `scipy_<name>_64_` with 64-bit
+integers.  Where no loaded library exports them, they are taken from
+`scipy.linalg.lapack` and `scipy.linalg.blas` instead.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "DimensionError",
@@ -31,23 +36,28 @@ __all__ = [
 ]
 
 
-def _pin_blas():
-    """Run every loaded OpenBLAS on one thread, unless its environment sets a count.
-
-    NumPy and SciPy each link their own OpenBLAS.  With default threads, one
-    library's spinning workers stall the other library's next call, and
-    Python threads cannot overlap the LAPACK work of a build anyway.
-    """
-    if any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                                     "OMP_NUM_THREADS")):
-        return
+def _openblas_libs():
+    """(path, handle) of every OpenBLAS mapped into this process, by path."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
     except OSError:
+        return []
+    return [(p, ctypes.CDLL(p)) for p in sorted(paths) if os.path.isfile(p)]
+
+
+def _pin_blas(libs):
+    """Run each OpenBLAS of `libs` on one thread, unless the environment sets a count.
+
+    Where NumPy and SciPy each link their own OpenBLAS, one library's
+    spinning workers stall the other library's next call with default
+    threads, and Python threads cannot overlap the LAPACK work of a build
+    anyway.
+    """
+    if any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                     "OMP_NUM_THREADS")):
         return
-    for path in sorted(p for p in paths if os.path.isfile(p)):
-        lib = ctypes.CDLL(path)
+    for _, lib in libs:
         for symbol in ("scipy_openblas_set_num_threads64_",
                        "scipy_openblas_set_num_threads",
                        "openblas_set_num_threads64_", "openblas_set_num_threads"):
@@ -59,7 +69,146 @@ def _pin_blas():
                 break
 
 
-_pin_blas()
+class _Routines(NamedTuple):
+    """The LAPACK/BLAS calls the module makes beyond NumPy's API."""
+
+    gees: Callable    # gees(A) -> (T, wr, wi, Z, info): A = Z T Z^T, real Schur form
+    trsyl: Callable   # trsyl(A, B, C) -> (X, scale): A X + X B^T = scale C, A and B
+                      # upper quasi-triangular; C may be overwritten
+    pocon: Callable   # pocon(R, anorm) -> reciprocal 1-norm condition of R^T R
+    trsv: Callable    # trsv(R, B) -> G with R^T G = B, one dtrsv per column of B
+
+
+def _fortran(A):
+    """A float64 matrix laid out column-major, and its leading dimension: A
+    itself where it is one, which keeps a slice's parent stride as leading
+    dimension, else a Fortran copy."""
+    rows = A.shape[0]
+    s0, s1 = A.strides
+    if A.dtype == np.float64 and s0 == 8 and s1 % 8 == 0 and s1 >= 8 * rows:
+        return A, s1 // 8
+    return np.asfortranarray(A, dtype=np.float64), rows
+
+
+def _probe(lib):
+    """The routines bound to the ctypes library `lib`, or None unless it
+    exports all four with ILP64 names (`scipy_<name>_64_`, `<name>_64_`)."""
+    for pattern in ("scipy_{}_64_", "{}_64_"):
+        fns = [getattr(lib, pattern.format(name), None)
+               for name in ("dgees", "dtrsyl", "dpocon", "dtrsv")]
+        if all(fns):
+            return _bind(*fns)
+    return None
+
+
+def _bind(dgees, dtrsyl, dpocon, dtrsv):
+    """Wrap the Fortran symbols in the `_Routines` calling convention.
+
+    Arrays pass as addresses, integers as 64-bit references, and each
+    character argument carries gfortran's trailing hidden length.
+    """
+    ptr, size = ctypes.c_void_p, ctypes.c_size_t
+    i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    dgees.argtypes = [ctypes.c_char_p] * 2 + [ptr, i64, ptr, i64, i64, ptr, ptr, ptr, i64,
+                                              ptr, i64, ptr, i64, size, size]
+    dtrsyl.argtypes = [ctypes.c_char_p] * 2 + [i64] * 3 + [ptr, i64] * 3 + [f64, i64,
+                                                                         size, size]
+    dpocon.argtypes = [ctypes.c_char_p, i64, ptr, i64, f64, f64, ptr, ptr, i64, size]
+    dtrsv.argtypes = [ctypes.c_char_p] * 3 + [i64, ptr, i64, ptr, i64, size, size, size]
+    for fn in (dgees, dtrsyl, dpocon, dtrsv):
+        fn.restype = None
+    ref, c_i64, c_f64 = ctypes.byref, ctypes.c_int64, ctypes.c_double
+    one = ref(c_i64(1))
+
+    def gees(A):
+        n = c_i64(A.shape[0])
+        T = np.array(A, dtype=np.float64, order="F")
+        wr, wi = np.empty(A.shape[0]), np.empty(A.shape[0])
+        Z = np.empty_like(T)
+        sdim, info, lwork, best = c_i64(), c_i64(), c_i64(-1), c_f64()
+
+        def call(work):
+            dgees(b"V", b"N", None, ref(n), T.ctypes.data, ref(n), ref(sdim),
+                  wr.ctypes.data, wi.ctypes.data, Z.ctypes.data, ref(n),
+                  work, ref(lwork), None, ref(info), 1, 1)
+
+        call(ctypes.addressof(best))          # workspace query
+        lwork.value = int(best.value)
+        work = np.empty(lwork.value)          # referenced until the call returns
+        call(work.ctypes.data)
+        return T, wr, wi, Z, info.value
+
+    def trsyl(A, B, C):
+        (A, lda), (B, ldb) = _fortran(A), _fortran(B)
+        X = np.asfortranarray(C, dtype=np.float64)
+        m = ref(c_i64(X.shape[0]))
+        scale, info = c_f64(), c_i64()
+        dtrsyl(b"N", b"T", one, m, ref(c_i64(X.shape[1])), A.ctypes.data, ref(c_i64(lda)),
+               B.ctypes.data, ref(c_i64(ldb)), X.ctypes.data, m, ref(scale), ref(info), 1, 1)
+        return X, scale.value
+
+    def pocon(R, anorm):
+        R, ldr = _fortran(R)
+        n = R.shape[0]
+        rcond, info = c_f64(), c_i64()
+        work, iwork = np.empty(3 * n), np.empty(n, dtype=np.int64)
+        dpocon(b"U", ref(c_i64(n)), R.ctypes.data, ref(c_i64(ldr)), ref(c_f64(anorm)),
+               ref(rcond), work.ctypes.data, iwork.ctypes.data, ref(info), 1)
+        return rcond.value
+
+    def trsv(R, B):
+        R, ldr = _fortran(R)
+        G = np.array(B, dtype=np.float64, order="C")   # as column_stack lays it out
+        n, ld, inc = ref(c_i64(R.shape[0])), ref(c_i64(ldr)), ref(c_i64(G.shape[1]))
+        for j in range(G.shape[1]):   # column j starts at entry j, stride G.shape[1]
+            dtrsv(b"U", b"T", b"N", n, R.ctypes.data, ld, G.ctypes.data + 8 * j, inc,
+                  1, 1, 1)
+        return G
+
+    return _Routines(gees, trsyl, pocon, trsv)
+
+
+def _scipy_routines():
+    """The routines from `scipy.linalg`, for a NumPy whose OpenBLAS lacks them.
+
+    SciPy links an OpenBLAS of its own, so the libraries are pinned again.
+    """
+    from scipy.linalg import blas, lapack
+
+    _pin_blas(_openblas_libs())
+
+    def gees(A):
+        lwork = lapack.dgees(lambda x: None, A, lwork=-1)[-2][0].real.astype(np.int_)
+        T, _, wr, wi, Z, _, info = lapack.dgees(lambda x, y=None: None, A, lwork=lwork,
+                                                overwrite_a=False, sort_t=0)
+        return T, wr, wi, Z, info
+
+    def trsyl(A, B, C):
+        X, scale, _ = lapack.dtrsyl(A, B, C, tranb="T")
+        return X, scale
+
+    def pocon(R, anorm):
+        return lapack.dpocon(R, anorm)[0]
+
+    def trsv(R, B):
+        return np.column_stack([blas.dtrsv(R, b, trans=1) for b in B.T])
+
+    return _Routines(gees, trsyl, pocon, trsv)
+
+
+def _bind_lapack():
+    """Pin every loaded OpenBLAS, then return (source, routines): the first
+    of them that exports the routines, else SciPy ("scipy")."""
+    libs = _openblas_libs()
+    _pin_blas(libs)
+    for path, lib in libs:
+        routines = _probe(lib)
+        if routines is not None:
+            return path, routines
+    return "scipy", _scipy_routines()
+
+
+_LAPACK_SOURCE, (_gees, _trsyl, _pocon, _trsv) = _bind_lapack()
 
 
 class DimensionError(ValueError):
@@ -135,10 +284,10 @@ def _symmetrized(S, name):
 
 
 def eigenvalues(A):
-    """Eigenvalues of a real square matrix (QR algorithm, unordered)."""
+    """Eigenvalues of a real square matrix (QR algorithm, unordered), complex-typed."""
     A = _as_square(A)
     try:
-        return scipy.linalg.eigvals(A)
+        return np.linalg.eigvals(A).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
 
@@ -165,15 +314,6 @@ class LyapunovSolution(NamedTuple):
 _LEAF = 48
 
 
-def _trsyl(A, B, C):
-    """Solve A X + X B^T = C for upper quasi-triangular A, B by LAPACK dtrsyl."""
-    X, scale, _ = scipy.linalg.lapack.dtrsyl(A, B, C, tranb="T")
-    if scale < 1.0:
-        # dtrsyl returned scale * X to avoid overflow: X itself is not finite.
-        raise RangeError("Lyapunov solution overflowed the floating-point range")
-    return X
-
-
 def _split(T):
     """Midpoint of the quasi-triangular T, moved past a 2x2 block it would cut."""
     k = T.shape[0] // 2
@@ -187,7 +327,11 @@ def _sylvester(A, B, C):
     """
     m, n = C.shape
     if max(m, n) <= _LEAF:
-        return _trsyl(A, B, C)
+        X, scale = _trsyl(A, B, C)
+        if scale < 1.0:
+            # dtrsyl returned scale * X to avoid overflow: X itself is not finite.
+            raise RangeError("Lyapunov solution overflowed the floating-point range")
+        return X
     X = np.empty_like(C)
     if m >= n:
         k = _split(A)
@@ -212,8 +356,9 @@ def solve_lyapunov(A, Q):
     margin.  Blocks of order at most _LEAF go to LAPACK dtrsyl, so up to
     that order the solve is one dtrsyl call in the operation order of
     SciPy's Lyapunov solver, and P is bit for bit the symmetrized SciPy
-    solution.  The operator is singular exactly when two eigenvalues of A
-    sum to zero, so that pairing is checked first; afterwards the residual
+    solution wherever both call the same LAPACK build.  The operator is
+    singular exactly when two eigenvalues of A sum to zero, so that
+    pairing is checked first; afterwards the residual
     ||P A + A^T P + Q||_F is gated at 1e-9 relative to
     scale = max(1, ||Q||_F + 2 ||A||_F ||P||_F).  Returns
     LyapunovSolution(P, residual / scale, eigenvalues of A).
@@ -236,10 +381,7 @@ def solve_lyapunov(A, Q):
     _symmetrized(Q, "Q")   # checked only: the solve and its gate use Q as given
 
     # P A + A^T P = -Q  is  (A^T) P + P (A^T)^T = -Q.
-    gees = scipy.linalg.lapack.dgees
-    lwork = gees(lambda x: None, A.T, lwork=-1)[-2][0].real.astype(np.int_)
-    T, _, wr, wi, Z, _, info = gees(lambda x, y=None: None, A.T, lwork=lwork,
-                                    overwrite_a=False, sort_t=0)
+    T, wr, wi, Z, info = _gees(A.T)
     if info != 0:
         raise ConvergenceError(f"real Schur iteration did not converge (info={info})")
     lam = wr + 1j * wi
@@ -320,13 +462,13 @@ def schur_complement(P, p):
     except np.linalg.LinAlgError:
         rcond = 0.0
     else:
-        rcond = scipy.linalg.lapack.dpocon(R, np.abs(Z).sum(axis=0).max())[0]
+        rcond = _pocon(R, float(np.abs(Z).sum(axis=0).max()))
     if rcond > 1e-10:
         # G = R^-T B by level-2 dtrsv per column.  One level-3
         # solve_triangular saves only ~0.006 ms at d = 246 with n = 6 columns,
         # and rounds G differently: near the delay margin, where the
         # complement cancels digits, k1 would move by ~1e-12 relative.
-        G = np.column_stack([scipy.linalg.blas.dtrsv(R, b, trans=1) for b in B.T])
+        G = _trsv(R, B)
         S = X - G.T @ G
     else:
         zw, zV = sym_eigen(Z)
@@ -352,14 +494,45 @@ def _lower_bound(P, n):
     return float(sym_eigen(S).eigenvalues[0])
 
 
-def expm(A):
-    """Matrix exponential (scaling-and-squaring with Pade approximation).
+# Coefficients b_0..b_13 of the [13/13] Pade approximant of exp, and the
+# 1-norm theta_13 up to which it meets double precision unscaled (Higham,
+# SIAM J. Matrix Anal. Appl. 26(4), 2005, Table 2.3).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+           16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
-    A is one square matrix or a stack of shape (k, d, d), which is
-    exponentiated matrix by matrix in one call.
+
+def expm(A):
+    """Matrix exponential by scaling and squaring of the [13/13] Pade approximant.
+
+    A is one square matrix or a stack of shape (k, d, d).  Each matrix is
+    scaled by its own power 2^-s with ||A 2^-s||_1 <= theta_13, and its
+    approximant is squared s times (Higham, SIAM J. Matrix Anal. Appl.
+    26(4), 2005), so a matrix of a stack gets the bits it gets alone.
+    Raises RangeError where the result overflows.
     """
     A = _as_square(A, stacked=True)
-    E = scipy.linalg.expm(A)
+    X = A.reshape((-1,) + A.shape[-2:])
+    with np.errstate(over="ignore"):   # an infinite norm is clipped below
+        norms = np.abs(X).sum(axis=1).max(axis=1)
+    s = np.ceil(np.log2(np.clip(norms / _THETA13, 1.0, 2.0 ** 1023))).astype(int)
+    X = np.ldexp(X, -s[:, None, None])
+    b = _PADE13
+    eye = np.eye(X.shape[-1])
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
+             + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
+    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
+         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye)
+    E = np.linalg.solve(V - U, V + U)
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow raises below
+        for k in range(int(s.max())):
+            sq = s > k
+            E[sq] = E[sq] @ E[sq]
     if not np.all(np.isfinite(E)):
         raise RangeError("matrix exponential overflowed the floating-point range")
-    return E
+    return E.reshape(A.shape)

@@ -34,10 +34,13 @@ class NodeSet:
         return self.nodes.size
 
 
-def _check_order(N):
-    """N as an int, or ValueError unless it is an integer >= 1 (bool is not)."""
+def _check_order(N, name="order"):
+    """N as an int, or ValueError unless it is an integer >= 1 (bool is not).
+
+    The one rule for every size argument: orders, point counts, dimensions.
+    """
     if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError(f"order must be an integer >= 1, got {N!r}")
+        raise ValueError(f"{name} must be an integer >= 1, got {N!r}")
     return operator.index(N)
 
 
@@ -159,8 +162,7 @@ def transform_leg_to_chebvals(N, n=1):
     ((-1)^k I_n)_k and (I_n)_k.
     """
     N = _check_order(N)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"block size n must be a positive integer, got {n!r}")
+    n = _check_order(n, "block size n")
     V, Vinv = _unit_leg_cheb(N)
-    eye = np.eye(int(n))
+    eye = np.eye(n)
     return np.kron(V, eye), np.kron(Vinv, eye)

@@ -19,8 +19,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 from numpy.polynomial.legendre import legvander
 
 from lkapprox import RfdeSystem
@@ -62,6 +60,11 @@ def kron_lyap_solve(A, Q):
     than 2% of the operator is nonzero (a dense A), the LU factors fill in
     anyway and dense LU is the faster of the two.
     """
+    # Imported here: the package loads no SciPy, and a child process that
+    # imports these helpers after it should not load a second OpenBLAS.
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     d = A.shape[0]
     K = scipy.sparse.kronsum(A.T, A.T, format="csc")   # A^T (x) I + I (x) A^T
     b = -Q.reshape(-1, order="F")
@@ -142,6 +145,15 @@ def openblas_threads():
                 found[os.path.basename(path)] = fn()
                 break
     return found
+
+
+def use_scipy_lapack(monkeypatch):
+    """Bind `lkapprox.linalg`'s LAPACK and BLAS calls to SciPy's wrappers,
+    the routines the module falls back to, until the monkeypatch undoes it."""
+    import lkapprox.linalg
+
+    for name, fn in lkapprox.linalg._scipy_routines()._asdict().items():
+        monkeypatch.setattr(lkapprox.linalg, "_" + name, fn)
 
 
 def relative_residual(P, A, Q):

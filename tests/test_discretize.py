@@ -71,6 +71,19 @@ def test_function_spec_variants():
         bad(0.0)
 
 
+@pytest.mark.parametrize("n", [2.7, True, 0, "2"])
+@pytest.mark.parametrize("make", [
+    lambda n: FunctionSpec.from_callable(lambda t: np.zeros(2), n),
+    lambda n: FunctionSpec.named("sin", n),
+    lambda n: FunctionSpec.named("one", n),
+], ids=["from_callable", "named-sin", "named-one"])
+def test_function_spec_dimension_is_an_integer_at_least_one(make, n):
+    # The rule of every size argument: a float is not truncated, a bool is
+    # not 1, and the error comes at construction, not at first evaluation.
+    with pytest.raises(ValueError, match="dimension n must be an integer >= 1"):
+        make(n)
+
+
 def test_function_spec_rejects_non_finite_entries():
     # A config's JSON may hold the literals NaN and Infinity.
     with pytest.raises(ValueError, match="non-finite"):

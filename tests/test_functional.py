@@ -644,22 +644,11 @@ def test_split_v1_exact_on_low_degree_polynomials(ex2_system, ex2_weights):
 def test_build_factors_closure_once(monkeypatch, ex2_system, ex2_weights, scheme):
     # One build runs one real Schur factorization of the closure and takes
     # its Hurwitz verdict from that factor: no eigenvalue call of its own.
+    # `linalg._gees` is the one real Schur factorization (dgees, its
+    # workspace query included); `eigenvalues` calls np.linalg.eigvals.
     counts = {"schur": 0, "eigvals": 0}
-
-    def counted(key, fn, query=lambda kwargs: False):
-        def wrapper(*args, **kwargs):
-            counts[key] += not query(kwargs)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    # A dgees call with lwork=-1 is a workspace query, not a factorization.
-    monkeypatch.setattr(scipy.linalg.lapack, "dgees",
-                        counted("schur", scipy.linalg.lapack.dgees,
-                                lambda kwargs: kwargs.get("lwork") == -1))
-    for name in ("schur", "solve_continuous_lyapunov"):
-        monkeypatch.setattr(scipy.linalg, name, counted("schur", getattr(scipy.linalg, name)))
-    monkeypatch.setattr(scipy.linalg, "eigvals", counted("eigvals", scipy.linalg.eigvals))
-    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    _count_calls(monkeypatch, counts, "schur", lkapprox.linalg, "_gees")
+    _count_calls(monkeypatch, counts, "eigvals", np.linalg, "eigvals")
     fa = build_functional(ex2_system, ex2_weights, scheme, 20)
     assert counts == {"schur": 1, "eigvals": 0}
     assert fa.hurwitz and fa.max_re < 0.0

@@ -1,9 +1,12 @@
+import ctypes
+import ctypes.util
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,9 +17,11 @@ from helpers import (
     kron_lyap_solve,
     newton_char_root,
     random_stable_matrix,
+    random_stable_rfde,
     relative_residual,
+    use_scipy_lapack,
 )
-from lkapprox import RfdeSystem
+from lkapprox import CostWeights, RfdeSystem, build_functional, k1
 from lkapprox.discretize import build_cheb_model, build_leg_model
 from lkapprox.linalg import (
     DimensionError,
@@ -128,26 +133,42 @@ def test_solve_lyapunov_random_kronecker_agreement():
                             atol=1e-8 * max(1.0, np.max(np.abs(P))))
 
 
-def test_solve_lyapunov_result_fields(ex2_system):
+def _check_result_fields(A, Q, bit_for_bit):
+    """solve_lyapunov(A, Q) against SciPy's solver: equal, or within
+    1e-14 max|P|; its residual is the gated one and its eigenvalues are A's."""
+    sol = solve_lyapunov(A, Q)
+    ref = scipy.linalg.solve_continuous_lyapunov(A.T, -Q)
+    ref = 0.5 * (ref + ref.T)
+    if bit_for_bit:
+        npt.assert_array_equal(sol.P, ref)
+    else:
+        npt.assert_allclose(sol.P, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+    assert sol.residual == relative_residual(sol.P, A, Q)
+    lam = eigenvalues(A)
+    tol = 1e-10 * np.max(np.abs(lam))
+    gaps = np.abs(sol.eigenvalues[:, None] - lam[None, :])
+    assert sol.eigenvalues.shape == lam.shape
+    assert gaps.min(axis=0).max() <= tol and gaps.min(axis=1).max() <= tol
+
+
+def test_solve_lyapunov_result_fields(monkeypatch, ex2_system):
     # Every case here has order d <= 42, at most _LEAF: the triangular stage
-    # is one dtrsyl call on the whole factor, so P is SciPy's Bartels-Stewart
-    # solution bit for bit.  The eigenvalues come from the same Schur factor
-    # and the residual is the gated one.
+    # is one dtrsyl call on the whole factor, so on SciPy's LAPACK P is
+    # SciPy's Bartels-Stewart solution bit for bit.  NumPy's OpenBLAS is
+    # another build of the same routines (0.3.31 against SciPy's 0.3.30 for
+    # NumPy 2.4.6 and SciPy 1.17.1): its dtrsyl was measured within 8.9e-16
+    # of SciPy's, so there P agrees to 1e-14 max|P|.
     cases = [(np.asarray(build(ex2_system, 20).A), np.eye(42))
              for build in (build_leg_model, build_cheb_model)]
     for d in (1, 3, 13, 40):
         Q = rng.standard_normal((d, d))
         cases.append((random_stable_matrix(rng, d), Q @ Q.T + 0.1 * np.eye(d)))
+    on_scipy = lkapprox.linalg._LAPACK_SOURCE == "scipy"
     for A, Q in cases:
-        sol = solve_lyapunov(A, Q)
-        ref = scipy.linalg.solve_continuous_lyapunov(A.T, -Q)
-        npt.assert_array_equal(sol.P, 0.5 * (ref + ref.T))
-        assert sol.residual == relative_residual(sol.P, A, Q)
-        lam = eigenvalues(A)
-        tol = 1e-10 * np.max(np.abs(lam))
-        gaps = np.abs(sol.eigenvalues[:, None] - lam[None, :])
-        assert sol.eigenvalues.shape == lam.shape
-        assert gaps.min(axis=0).max() <= tol and gaps.min(axis=1).max() <= tol
+        _check_result_fields(A, Q, bit_for_bit=on_scipy)
+    use_scipy_lapack(monkeypatch)
+    for A, Q in cases:
+        _check_result_fields(A, Q, bit_for_bit=True)
 
 
 def test_solve_lyapunov_singular_pairing():
@@ -418,3 +439,74 @@ def test_solve_lyapunov_overflow_raises():
     T = np.diag(-np.linspace(1.0, 2.0, d)) + np.triu(np.full((d, d), 1e150), 1)
     with pytest.raises(RangeError):
         solve_lyapunov(T.T, 1e150 * np.eye(d))
+
+
+def test_scipy_fallback_agrees_with_bound_lapack(monkeypatch):
+    # The routines taken from SciPy where NumPy's OpenBLAS lacks them give
+    # the same P, complement (of one P) and k1 to 1e-13 relative, below and
+    # above _LEAF.
+    local = np.random.default_rng(31)
+    cases = []
+    for d in (13, 97):
+        Q = local.standard_normal((d, d))
+        cases.append((random_stable_matrix(local, d), Q @ Q.T + 0.1 * np.eye(d)))
+    systems = [(random_stable_rfde(local, n), n, N) for n, N in ((2, 20), (6, 40))]
+    weights = {n: CostWeights(np.eye(n), np.eye(n), 0.3 * np.eye(n)) for n in (2, 6)}
+
+    Ps = [solve_lyapunov(A, Q).P for A, Q in cases]
+
+    def outputs():
+        out = [solve_lyapunov(A, Q).P for A, Q in cases]
+        out += [schur_complement(P, len(P) - 3) for P in Ps]
+        for system, n, N in systems:
+            for scheme in ("legendre", "cheb"):
+                out.append(np.array(k1(build_functional(system, weights[n], scheme, N))))
+        return out
+
+    bound = outputs()
+    use_scipy_lapack(monkeypatch)
+    for got, ref in zip(outputs(), bound):
+        npt.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_lapack_probe():
+    # A library without the ILP64 symbols (libc) is not bound; where the probe
+    # found NumPy's OpenBLAS, binding it again gives the four routines.
+    assert lkapprox.linalg._probe(ctypes.CDLL(ctypes.util.find_library("c"))) is None
+    source = lkapprox.linalg._LAPACK_SOURCE
+    if source != "scipy":
+        routines = lkapprox.linalg._probe(ctypes.CDLL(source))
+        assert routines is not None and len(routines) == 4
+
+
+def test_failed_probe_binds_scipy(monkeypatch):
+    monkeypatch.setattr(lkapprox.linalg, "_probe", lambda lib: None)
+    source, routines = lkapprox.linalg._bind_lapack()
+    assert source == "scipy"
+    T, wr, wi, Z, info = routines.gees(np.array([[1.0, 2.0], [0.0, 3.0]]))
+    assert info == 0 and sorted(wr) == [1.0, 3.0] and not wi.any()
+
+
+def test_expm_pade13_per_matrix_scaling_against_mpmath():
+    # One stack whose 1-norms need the scalings 2^0, 2^2, 2^4 and 2^7:
+    # general, stable non-normal and skew-symmetric (an orthogonal
+    # exponential of norm 400) matrices, against 40-digit mpmath.
+    local = np.random.default_rng(17)
+    stack = []
+    for norm, kind in ((0.5, "general"), (20.0, "general"), (60.0, "stable"),
+                       (400.0, "skew")):
+        K = local.standard_normal((4, 4))
+        if kind == "skew":
+            K = K - K.T
+        if kind == "stable":
+            K = K - 1.5 * np.abs(np.linalg.eigvals(K)).max() * np.eye(4)
+        stack.append(norm * K / np.abs(K).sum(axis=0).max())
+    stack = np.array(stack)
+    scalings = np.ceil(np.log2(np.maximum(
+        np.abs(stack).sum(axis=1).max(axis=1) / lkapprox.linalg._THETA13, 1.0)))
+    assert scalings.tolist() == [0.0, 2.0, 4.0, 7.0]
+    E = expm(stack)
+    with mpmath.workdps(40):
+        for a, e in zip(stack, E):
+            ref = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+            npt.assert_allclose(e, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))

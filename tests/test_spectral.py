@@ -149,6 +149,13 @@ def test_transform_small_case():
     npt.assert_allclose(T_vc, [[0.5, 0.5], [-0.5, 0.5]])
 
 
+@pytest.mark.parametrize("n", [True, 2.0, 0, np.int64(-1)])
+def test_transform_block_size_is_an_integer_at_least_one(n):
+    # n=True once gave the 4 x 4 map of n = 1.
+    with pytest.raises(ValueError, match="block size n must be an integer >= 1"):
+        transform_leg_to_chebvals(3, n=n)
+
+
 def test_transform_endpoint_block_rows():
     n = 2
     N = 5
