@@ -4,11 +4,12 @@ Thin, contract-checked wrappers around LAPACK-backed routines plus the
 generalized Schur complement used for quadratic lower bounds.  All inputs
 are real; eigenvalues may come back complex.
 
-The four LAPACK and BLAS routines that NumPy's API lacks (dgees, dtrsyl,
+The four LAPACK and BLAS routines that NumPy's API lacks (dgees, dtrsyl3,
 dpocon and dtrsv) are called through ctypes from the OpenBLAS that NumPy
 already loads; its wheels export them as `scipy_<name>_64_` with 64-bit
 integers.  Where no loaded library exports them, they are taken from
-`scipy.linalg.lapack` and `scipy.linalg.blas` instead.
+`scipy.linalg.lapack` and `scipy.linalg.blas` instead, with dtrsyl in place
+of dtrsyl3, which SciPy does not wrap.
 """
 
 from __future__ import annotations
@@ -79,29 +80,18 @@ class _Routines(NamedTuple):
     trsv: Callable    # trsv(R, B) -> G with R^T G = B, one dtrsv per column of B
 
 
-def _fortran(A):
-    """A float64 matrix laid out column-major, and its leading dimension: A
-    itself where it is one, which keeps a slice's parent stride as leading
-    dimension, else a Fortran copy."""
-    rows = A.shape[0]
-    s0, s1 = A.strides
-    if A.dtype == np.float64 and s0 == 8 and s1 % 8 == 0 and s1 >= 8 * rows:
-        return A, s1 // 8
-    return np.asfortranarray(A, dtype=np.float64), rows
-
-
 def _probe(lib):
     """The routines bound to the ctypes library `lib`, or None unless it
     exports all four with ILP64 names (`scipy_<name>_64_`, `<name>_64_`)."""
     for pattern in ("scipy_{}_64_", "{}_64_"):
         fns = [getattr(lib, pattern.format(name), None)
-               for name in ("dgees", "dtrsyl", "dpocon", "dtrsv")]
+               for name in ("dgees", "dtrsyl3", "dpocon", "dtrsv")]
         if all(fns):
             return _bind(*fns)
     return None
 
 
-def _bind(dgees, dtrsyl, dpocon, dtrsv):
+def _bind(dgees, dtrsyl3, dpocon, dtrsv):
     """Wrap the Fortran symbols in the `_Routines` calling convention.
 
     Arrays pass as addresses, integers as 64-bit references, and each
@@ -111,11 +101,11 @@ def _bind(dgees, dtrsyl, dpocon, dtrsv):
     i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
     dgees.argtypes = [ctypes.c_char_p] * 2 + [ptr, i64, ptr, i64, i64, ptr, ptr, ptr, i64,
                                               ptr, i64, ptr, i64, size, size]
-    dtrsyl.argtypes = [ctypes.c_char_p] * 2 + [i64] * 3 + [ptr, i64] * 3 + [f64, i64,
-                                                                         size, size]
+    dtrsyl3.argtypes = [ctypes.c_char_p] * 2 + [i64] * 3 + [ptr, i64] * 3 + [
+        f64, ptr, i64, ptr, i64, i64, size, size]
     dpocon.argtypes = [ctypes.c_char_p, i64, ptr, i64, f64, f64, ptr, ptr, i64, size]
     dtrsv.argtypes = [ctypes.c_char_p] * 3 + [i64, ptr, i64, ptr, i64, size, size, size]
-    for fn in (dgees, dtrsyl, dpocon, dtrsv):
+    for fn in (dgees, dtrsyl3, dpocon, dtrsv):
         fn.restype = None
     ref, c_i64, c_f64 = ctypes.byref, ctypes.c_int64, ctypes.c_double
     one = ref(c_i64(1))
@@ -139,29 +129,36 @@ def _bind(dgees, dtrsyl, dpocon, dtrsv):
         return T, wr, wi, Z, info.value
 
     def trsyl(A, B, C):
-        (A, lda), (B, ldb) = _fortran(A), _fortran(B)
-        X = np.asfortranarray(C, dtype=np.float64)
-        m = ref(c_i64(X.shape[0]))
-        scale, info = c_f64(), c_i64()
-        dtrsyl(b"N", b"T", one, m, ref(c_i64(X.shape[1])), A.ctypes.data, ref(c_i64(lda)),
-               B.ctypes.data, ref(c_i64(ldb)), X.ctypes.data, m, ref(scale), ref(info), 1, 1)
+        A, B, X = (np.asfortranarray(M, dtype=np.float64) for M in (A, B, C))
+        m, n = ref(c_i64(X.shape[0])), ref(c_i64(X.shape[1]))
+        scale, info, liwork, ldswork = c_f64(), c_i64(), c_i64(-1), c_i64(-1)
+
+        def call(iwork, swork):
+            dtrsyl3(b"N", b"T", one, m, n, A.ctypes.data, m, B.ctypes.data, n,
+                    X.ctypes.data, m, ref(scale), iwork.ctypes.data, ref(liwork),
+                    swork.ctypes.data, ref(ldswork), ref(info), 1, 1)
+
+        iwork, swork = np.empty(1, dtype=np.int64), np.empty(2)
+        call(iwork, swork)   # workspace query: IWORK's length, SWORK's rows and columns
+        liwork.value, ldswork.value = int(iwork[0]), max(2, int(swork[0]))
+        call(np.empty(liwork.value, dtype=np.int64), np.empty(ldswork.value * int(swork[1])))
         return X, scale.value
 
     def pocon(R, anorm):
-        R, ldr = _fortran(R)
+        R = np.asfortranarray(R, dtype=np.float64)
         n = R.shape[0]
         rcond, info = c_f64(), c_i64()
         work, iwork = np.empty(3 * n), np.empty(n, dtype=np.int64)
-        dpocon(b"U", ref(c_i64(n)), R.ctypes.data, ref(c_i64(ldr)), ref(c_f64(anorm)),
+        dpocon(b"U", ref(c_i64(n)), R.ctypes.data, ref(c_i64(n)), ref(c_f64(anorm)),
                ref(rcond), work.ctypes.data, iwork.ctypes.data, ref(info), 1)
         return rcond.value
 
     def trsv(R, B):
-        R, ldr = _fortran(R)
+        R = np.asfortranarray(R, dtype=np.float64)
         G = np.array(B, dtype=np.float64, order="C")   # as column_stack lays it out
-        n, ld, inc = ref(c_i64(R.shape[0])), ref(c_i64(ldr)), ref(c_i64(G.shape[1]))
+        n, inc = ref(c_i64(R.shape[0])), ref(c_i64(G.shape[1]))
         for j in range(G.shape[1]):   # column j starts at entry j, stride G.shape[1]
-            dtrsv(b"U", b"T", b"N", n, R.ctypes.data, ld, G.ctypes.data + 8 * j, inc,
+            dtrsv(b"U", b"T", b"N", n, R.ctypes.data, n, G.ctypes.data + 8 * j, inc,
                   1, 1, 1)
         return G
 
@@ -310,54 +307,17 @@ class LyapunovSolution(NamedTuple):
     eigenvalues: np.ndarray  # of A, from the Schur factor of the solve
 
 
-# Triangular blocks of at most this order are solved by one LAPACK dtrsyl.
-_LEAF = 48
-
-
-def _split(T):
-    """Midpoint of the quasi-triangular T, moved past a 2x2 block it would cut."""
-    k = T.shape[0] // 2
-    return k + 1 if T[k, k - 1] != 0.0 else k
-
-
-def _sylvester(A, B, C):
-    """Solve A X + X B^T = C, splitting the larger of A and B at its midpoint.
-
-    Also serves B = A, the triangular stage of `solve_lyapunov`.
-    """
-    m, n = C.shape
-    if max(m, n) <= _LEAF:
-        X, scale = _trsyl(A, B, C)
-        if scale < 1.0:
-            # dtrsyl returned scale * X to avoid overflow: X itself is not finite.
-            raise RangeError("Lyapunov solution overflowed the floating-point range")
-        return X
-    X = np.empty_like(C)
-    if m >= n:
-        k = _split(A)
-        X[k:] = _sylvester(A[k:, k:], B, C[k:])
-        X[:k] = _sylvester(A[:k, :k], B, C[:k] - A[:k, k:] @ X[k:])
-    else:
-        k = _split(B)
-        X[:, k:] = _sylvester(A, B[k:, k:], C[:, k:])
-        X[:, :k] = _sylvester(A, B[:k, :k], C[:, :k] - X[:, k:] @ B[:k, k:].T)
-    return X
-
-
 def solve_lyapunov(A, Q):
     """Solve P A + A^T P = -Q for the symmetric matrix P.
 
     Bartels-Stewart on one real Schur factorization A^T = Z T Z^T (LAPACK
     dgees, which also yields the eigenvalues of A).  The triangular equation
     T Y + Y T^T = Z^T (-Q) Z is solved as the Sylvester equation it is, by
-    the recursive blocked method of `_sylvester` with both factors T
-    (Jonsson & Kagstrom, ACM TOMS 28(4), 2002).  Y is not assumed
-    symmetric: taking Y21 = Y12^T loses digits of k1 close to the delay
-    margin.  Blocks of order at most _LEAF go to LAPACK dtrsyl, so up to
-    that order the solve is one dtrsyl call in the operation order of
-    SciPy's Lyapunov solver, and P is bit for bit the symmetrized SciPy
-    solution wherever both call the same LAPACK build.  The operator is
-    singular exactly when two eigenvalues of A sum to zero, so that
+    one call of LAPACK's level-3 blocked solver dtrsyl3 with both factors T
+    (Jonsson & Kagstrom, ACM TOMS 28(4), 2002), or of dtrsyl where the
+    routines come from SciPy.  Y is not assumed symmetric: taking
+    Y21 = Y12^T loses digits of k1 close to the delay margin.  The operator
+    is singular exactly when two eigenvalues of A sum to zero, so that
     pairing is checked first; afterwards the residual
     ||P A + A^T P + Q||_F is gated at 1e-9 relative to
     scale = max(1, ||Q||_F + 2 ||A||_F ||P||_F).  Returns
@@ -396,12 +356,13 @@ def solve_lyapunov(A, Q):
             pair=(complex(lam[i]), complex(lam[j])),
         )
 
-    # The pair check above keeps dtrsyl away from its perturbed (info = 1)
+    # The pair check above keeps the solver away from its perturbed (info = 1)
     # branch, which needs a sum below machine precision times ||T||.
-    P = Z.dot(_sylvester(T, T, Z.T.dot((-Q).dot(Z)))).dot(Z.T)
-    if not np.all(np.isfinite(P)):
-        # Neither dtrsyl's scale nor the block updates between its calls
-        # catch every overflow (a 1e150 coupling in T gives NaN at scale 1).
+    Y, y_scale = _trsyl(T, T, Z.T.dot((-Q).dot(Z)))
+    P = Z.dot(Y).dot(Z.T)
+    # A scale below 1 means the solver returned y_scale * Y because Y itself
+    # overflows; the scale misses some overflows, which leave P non-finite.
+    if y_scale < 1.0 or not np.all(np.isfinite(P)):
         raise RangeError("Lyapunov solution overflowed the floating-point range")
     P = 0.5 * (P + P.T)
 

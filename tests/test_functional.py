@@ -19,6 +19,7 @@ from helpers import (
     quad_V,
     random_stable_rfde,
     relative_residual,
+    use_scipy_lapack,
 )
 from lkapprox import (
     CostWeights,
@@ -645,12 +646,14 @@ def test_build_factors_closure_once(monkeypatch, ex2_system, ex2_weights, scheme
     # One build runs one real Schur factorization of the closure and takes
     # its Hurwitz verdict from that factor: no eigenvalue call of its own.
     # `linalg._gees` is the one real Schur factorization (dgees, its
-    # workspace query included); `eigenvalues` calls np.linalg.eigvals.
-    counts = {"schur": 0, "eigvals": 0}
+    # workspace query included), `linalg._trsyl` the one triangular solve
+    # (dtrsyl3, likewise); `eigenvalues` calls np.linalg.eigvals.
+    counts = {"schur": 0, "sylvester": 0, "eigvals": 0}
     _count_calls(monkeypatch, counts, "schur", lkapprox.linalg, "_gees")
+    _count_calls(monkeypatch, counts, "sylvester", lkapprox.linalg, "_trsyl")
     _count_calls(monkeypatch, counts, "eigvals", np.linalg, "eigvals")
     fa = build_functional(ex2_system, ex2_weights, scheme, 20)
-    assert counts == {"schur": 1, "eigvals": 0}
+    assert counts == {"schur": 1, "sylvester": 1, "eigvals": 0}
     assert fa.hurwitz and fa.max_re < 0.0
 
 
@@ -729,14 +732,23 @@ def _large_base_system(h, seed=None):
     return RfdeSystem(A0, A1, h), CostWeights(*W)
 
 
+def _near_margin_k1(system, weights, N):
+    """k1 of the order-N legendre closure, and the same closure's k1 in
+    extended precision."""
+    fa = build_functional(system, weights, scheme="legendre", N=N)
+    ref = longdouble_tau_k1(np.asarray(fa.model.A), legendre_cost(weights, N, system.h),
+                            system.n)
+    return k1(fa), ref
+
+
 @pytest.mark.parametrize("case, h, N, bound", [
     ("ex2", 6.0, 40, 1e-10), ("ex2", 6.0, 80, 1e-10),
     ("ex2", 6.15, 40, 1e-10), ("ex2", 6.15, 80, 1e-10),
     ("large", 5.41, 40, 2e-9),
 ] + [
     # Build-large rotated as the benchmark's config of seed `case`, at 0.99
-    # and 0.999 of the margin.  One dtrsyl on the whole triangular equation
-    # gives at most 3.8e-10 and 7.0e-9 there.
+    # and 0.999 of the margin.  One dtrsyl3 on the whole triangular equation
+    # gives at most 7.0e-10 and 6.1e-9 there.
     pytest.param(seed, frac * _LARGE_MARGIN, N, bound,
                  id=f"large-seed{seed}-{frac}hc-{N}")
     for seed in range(4) for frac, bound in ((0.99, 1e-9), (0.999, 2e-8))
@@ -750,7 +762,16 @@ def test_k1_near_margin_accuracy_floor(ex2_system, ex2_weights, case, h, N, boun
         system, weights = dataclasses.replace(ex2_system, h=h), ex2_weights
     else:
         system, weights = _large_base_system(h, None if case == "large" else case)
-    fa = build_functional(system, weights, scheme="legendre", N=N)
-    ref = longdouble_tau_k1(np.asarray(fa.model.A), legendre_cost(weights, N, h),
-                            system.n)
-    assert abs(k1(fa) - ref) <= bound * abs(ref)
+    got, ref = _near_margin_k1(system, weights, N)
+    assert abs(got - ref) <= bound * abs(ref)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("N", [20, 40])
+def test_k1_near_margin_accuracy_floor_scipy_fallback(monkeypatch, seed, N):
+    # The 0.999 h_c build-large cases of the floor above, with the routines
+    # of the SciPy fallback: there the triangular equation is one unblocked
+    # dtrsyl on the whole factor, at most 4.4e-9 off.
+    use_scipy_lapack(monkeypatch)
+    got, ref = _near_margin_k1(*_large_base_system(0.999 * _LARGE_MARGIN, seed), N)
+    assert abs(got - ref) <= 2e-8 * abs(ref)

@@ -152,12 +152,13 @@ def _check_result_fields(A, Q, bit_for_bit):
 
 
 def test_solve_lyapunov_result_fields(monkeypatch, ex2_system):
-    # Every case here has order d <= 42, at most _LEAF: the triangular stage
-    # is one dtrsyl call on the whole factor, so on SciPy's LAPACK P is
-    # SciPy's Bartels-Stewart solution bit for bit.  NumPy's OpenBLAS is
-    # another build of the same routines (0.3.31 against SciPy's 0.3.30 for
-    # NumPy 2.4.6 and SciPy 1.17.1): its dtrsyl was measured within 8.9e-16
-    # of SciPy's, so there P agrees to 1e-14 max|P|.
+    # Every case here has order d <= 42, below dtrsyl3's least block order
+    # of 48, so on either binding the triangular stage is one dtrsyl call on
+    # the whole factor, and on SciPy's LAPACK P is SciPy's Bartels-Stewart
+    # solution bit for bit.  NumPy's OpenBLAS is another build of the same
+    # routines (0.3.31 against SciPy's 0.3.30 for NumPy 2.4.6 and SciPy
+    # 1.17.1): its dtrsyl was measured within 8.9e-16 of SciPy's, so there P
+    # agrees to 1e-14 max|P|.
     cases = [(np.asarray(build(ex2_system, 20).A), np.eye(42))
              for build in (build_leg_model, build_cheb_model)]
     for d in (1, 3, 13, 40):
@@ -363,8 +364,8 @@ def test_import_pins_each_openblas_to_one_thread():
 
 def _complex_pair_matrix(rng, d):
     """A stable, non-normal matrix whose spectrum is complex pairs (plus one
-    real eigenvalue for odd d): its real Schur factor is 2 x 2 blocks, so
-    many midpoint splits would cut one."""
+    real eigenvalue for odd d): its real Schur factor is 2 x 2 blocks, which
+    a blocked triangular solve must not cut."""
     B = 0.1 * np.triu(rng.standard_normal((d, d)), 2)
     for k in range(0, d - 1, 2):
         re, im = -rng.uniform(0.1, 2.0), rng.uniform(0.5, 3.0)
@@ -375,7 +376,7 @@ def _complex_pair_matrix(rng, d):
     return U @ B @ U.T
 
 
-def _above_leaf_cases(d):
+def _large_order_cases(d):
     if d % 2:
         system = RfdeSystem(np.array([[-0.5]]), np.array([[-1.0]]), 2.2)
         N = d - 1
@@ -394,57 +395,60 @@ def _above_leaf_cases(d):
 
 
 @pytest.mark.parametrize("d", [49, 97, 131, 246])
-def test_solve_lyapunov_above_leaf(monkeypatch, d):
-    # Orders above _LEAF take the recursive blocked solve.  Its P must match
-    # SciPy's single-dtrsyl Bartels-Stewart solution and, where the
+def test_solve_lyapunov_large_orders(monkeypatch, d):
+    # From order 49 on, dtrsyl3 solves the triangular stage in blocks; the
+    # SciPy fallback's dtrsyl solves it whole.  On either binding P must
+    # match SciPy's single-dtrsyl Bartels-Stewart solution and, where the
     # Kronecker system is cheap, the Kronecker solve, and its residual must
-    # be at the level of SciPy's.  No split may cut a 2 x 2 block, and at
-    # every order some case must have a complex pair across a midpoint.
-    assert d > lkapprox.linalg._LEAF
-    splits = []
-    split = lkapprox.linalg._split
-
-    def recording_split(T):
-        k = split(T)
-        splits.append((T[k, k - 1], k != T.shape[0] // 2))
-        return k
-
-    monkeypatch.setattr(lkapprox.linalg, "_split", recording_split)
+    # be at the level of SciPy's.  The complex-pair cases give T a 2 x 2
+    # block per pair.
     eps = np.finfo(float).eps
-    for label, A, Q in _above_leaf_cases(d):
-        P = solve_lyapunov(A, Q).P
+    cases = []
+    for label, A, Q in _large_order_cases(d):
         ref = scipy.linalg.solve_continuous_lyapunov(A.T, -Q)
-        ref = 0.5 * (ref + ref.T)
-        assert relative_residual(P, A, Q) <= 4.0 * max(relative_residual(ref, A, Q), eps)
-        npt.assert_allclose(P, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
         # The Kronecker system has d^2 unknowns: it is solved only where it
         # is small or sparse enough to take about a second at most.
-        if d == 49 or (d == 97 and label == "build_leg_model"):
-            npt.assert_allclose(P, kron_lyap_solve(A, Q), rtol=0,
-                                atol=1e-8 * np.max(np.abs(P)))
-    assert splits and all(sub == 0.0 for sub, _ in splits)
-    assert any(moved for _, moved in splits)
+        kron = (kron_lyap_solve(A, Q)
+                if d == 49 or (d == 97 and label == "build_leg_model") else None)
+        if label == "complex-pairs":
+            T = lkapprox.linalg._gees(A.T)[0]
+            assert np.count_nonzero(np.diag(T, -1)) == d // 2
+        cases.append((A, Q, 0.5 * (ref + ref.T), kron))
+    for on_scipy in (False, True):
+        if on_scipy:
+            use_scipy_lapack(monkeypatch)
+        for A, Q, ref, kron in cases:
+            P = solve_lyapunov(A, Q).P
+            assert relative_residual(P, A, Q) <= 4.0 * max(relative_residual(ref, A, Q), eps)
+            npt.assert_allclose(P, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+            if kron is not None:
+                npt.assert_allclose(P, kron, rtol=0, atol=1e-8 * np.max(np.abs(P)))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_solve_lyapunov_overflow_raises():
-    # The true solution 5e308 I is past the double range.  dtrsyl returns it
-    # scaled by its overflow factor; returning that as P (5e-292 I, with a
-    # NaN residual that the gate let through) is wrong.
-    with pytest.raises(RangeError):
-        solve_lyapunov(-1e-9 * np.eye(2), 1e300 * np.eye(2))
-    # Above the leaf, with 1e150 couplings, dtrsyl returns NaN at scale 1:
-    # only the finiteness check on P sees the overflow.
+def test_solve_lyapunov_overflow_raises(monkeypatch):
+    # The true solution 5e308 I is past the double range.  The triangular
+    # solver returns it scaled by its overflow factor; returning that as P
+    # (5e-292 I, with a NaN residual that the gate let through) is wrong.
+    # With 1e150 couplings at d = 100, dtrsyl3 and dtrsyl both return NaN
+    # at scale 1: only the finiteness check on P sees the overflow.
     d = 100
     T = np.diag(-np.linspace(1.0, 2.0, d)) + np.triu(np.full((d, d), 1e150), 1)
-    with pytest.raises(RangeError):
-        solve_lyapunov(T.T, 1e150 * np.eye(d))
+    for on_scipy in (False, True):
+        if on_scipy:
+            use_scipy_lapack(monkeypatch)
+        with pytest.raises(RangeError):
+            solve_lyapunov(-1e-9 * np.eye(2), 1e300 * np.eye(2))
+        with pytest.raises(RangeError):
+            solve_lyapunov(T.T, 1e150 * np.eye(d))
 
 
 def test_scipy_fallback_agrees_with_bound_lapack(monkeypatch):
     # The routines taken from SciPy where NumPy's OpenBLAS lacks them give
-    # the same P, complement (of one P) and k1 to 1e-13 relative, below and
-    # above _LEAF.
+    # the same P, complement (of one P) and k1 to 1e-13 relative, at an
+    # order that dtrsyl3 solves in one block (13) and at orders where it
+    # solves in blocks and the fallback's dtrsyl does not (97, and d = 246
+    # in the n = 6, N = 40 builds).
     local = np.random.default_rng(31)
     cases = []
     for d in (13, 97):
