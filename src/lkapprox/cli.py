@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -470,6 +471,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache   # the parser holds no state between parses
 def _make_parser():
     parser = argparse.ArgumentParser(
         prog="lk",

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
+from numpy.polynomial.polynomial import polyval
 
 from .linalg import DimensionError, _as_square, _symmetrized, is_hurwitz
 from .spectral import (
@@ -120,15 +121,13 @@ class CostWeights:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """An initial segment phi: [-h, 0] -> R^n in one of three forms.
+    """An initial segment phi: [-h, 0] -> R^n, given by its sampler.
 
-    kind "constant": data is the constant vector.
-    kind "polynomial": data is a (m+1, n) coefficient array, monomial in theta.
-    kind "callable": data maps a scalar theta to an n-vector.
+    `sample(thetas)` maps a 1-d array of m values of theta to the (m, n)
+    array of phi's values there.
     """
 
-    kind: str
-    data: object
+    sample: Callable
     n: int
 
     @staticmethod
@@ -136,17 +135,34 @@ class FunctionSpec:
         vec = np.atleast_1d(np.asarray(vec, dtype=float))
         if vec.ndim != 1:
             raise DimensionError("constant spec takes a vector")
-        _finite(vec, "constant segment")
-        return FunctionSpec("constant", _frozen_array(vec), vec.size)
+        vec = _frozen_array(_finite(vec, "constant segment"))
+        return FunctionSpec(lambda thetas: np.tile(vec, (len(thetas), 1)), vec.size)
 
     @staticmethod
     def polynomial(coeffs):
-        C = _finite(np.atleast_2d(np.asarray(coeffs, dtype=float)), "polynomial segment")
-        return FunctionSpec("polynomial", _frozen_array(C), C.shape[1])
+        """Rows of coeffs are the theta-monomial coefficients, lowest degree first.
+
+        Sampled by Horner's rule, entry by entry, so a value does not depend
+        on the other thetas sampled with it.
+        """
+        C = _frozen_array(_finite(np.atleast_2d(np.asarray(coeffs, dtype=float)),
+                                  "polynomial segment"))
+        return FunctionSpec(lambda thetas: polyval(thetas, C).T, C.shape[1])
 
     @staticmethod
     def from_callable(fn: Callable, n: int):
-        return FunctionSpec("callable", fn, _check_order(n, "dimension n"))
+        """The segment theta -> fn(theta), an n-vector, sampled one theta at a time."""
+        n = _check_order(n, "dimension n")
+
+        def sample(thetas):
+            rows = [np.atleast_1d(np.asarray(fn(float(t)), dtype=float)) for t in thetas]
+            for row in rows:
+                if row.shape != (n,):
+                    raise DimensionError(
+                        f"callable segment returned shape {row.shape}, expected ({n},)")
+            return np.array(rows).reshape(len(rows), n)
+
+        return FunctionSpec(sample, n)
 
     @staticmethod
     def named(name, n):
@@ -154,31 +170,14 @@ class FunctionSpec:
         n = _check_order(n, "dimension n")
         if name == "one":
             return FunctionSpec.constant(np.ones(n))
-        if name == "sin":
-            return FunctionSpec.from_callable(
-                lambda theta: np.full(n, np.sin(theta)), n
-            )
-        if name == "exp-decay":
-            return FunctionSpec.from_callable(
-                lambda theta: np.full(n, np.exp(theta)), n
-            )
-        raise ValueError(f"unknown named segment {name!r}")
+        ufunc = {"sin": np.sin, "exp-decay": np.exp}.get(name)
+        if ufunc is None:
+            raise ValueError(f"unknown named segment {name!r}")
+        return FunctionSpec(lambda thetas: np.repeat(ufunc(thetas)[:, None], n, axis=1), n)
 
     def __call__(self, theta):
         """Pointwise value."""
-        theta = float(theta)
-        if self.kind == "constant":
-            return np.asarray(self.data, dtype=float).copy()
-        if self.kind == "polynomial":
-            C = np.asarray(self.data)
-            powers = theta ** np.arange(C.shape[0])
-            return powers @ C
-        out = np.atleast_1d(np.asarray(self.data(theta), dtype=float))
-        if out.shape != (self.n,):
-            raise DimensionError(
-                f"callable segment returned shape {out.shape}, expected ({self.n},)"
-            )
-        return out
+        return self.sample(np.array([float(theta)]))[0]
 
 
 @dataclass(frozen=True)
@@ -296,40 +295,33 @@ def _grid_map(model):
     return transform_leg_to_chebvals(model.N, model.n)[1]
 
 
-def _sample_matrix(phi, thetas):
-    return np.vstack([phi(theta) for theta in thetas])
-
-
 def discretize_cheb(phi, N, h):
     """Stacked values of phi on the ascending Chebyshev grid."""
-    return _sample_matrix(phi, cheb_nodes(N, h).nodes).reshape(-1)
+    return phi.sample(cheb_nodes(N, h).nodes).reshape(-1)
 
 
 def discretize_leg(phi, N, h):
     """Stacked Legendre coefficients of phi.
 
-    Coefficients k < N come from Gauss quadrature of order N+2 against p_k
-    (exact whenever phi is a polynomial of degree <= N).  The last block is
-    the endpoint matcher phi(0) - sum_{k<N} zeta^k, so the represented
-    segment always attains the true phi(0).
+    Coefficients k < N are phi(0) [k = 0] plus the projection of
+    phi - phi(0) on p_k by Gauss quadrature of order N+2 (exact whenever phi
+    is a polynomial of degree <= N), so a constant segment has exactly zero
+    coefficients past the first.  The last block is the endpoint matcher
+    phi(0) - sum_{k<N} zeta^k, so the represented segment always attains
+    the true phi(0).
     """
-    n = phi.n
     N = _check_order(N)
-    if phi.kind == "constant":
-        zeta = np.zeros(n * (N + 1))
-        zeta[:n] = phi.data
-        return zeta
-    rule = gauss_legendre(N + 2, float(h))
-    vals = _sample_matrix(phi, rule.nodes)              # (N+2, n)
-    unit_w = rule.weights * (2.0 / float(h))            # weights on [-1, 1]
-    unit_x = 2.0 * rule.nodes / float(h) + 1.0
-    table = legvander(unit_x, N - 1)
-    zeta = np.zeros(n * (N + 1))
-    for k in range(N):
-        coef = (2.0 * k + 1.0) / 2.0
-        zeta[k * n:(k + 1) * n] = coef * ((unit_w * table[:, k]) @ vals)
-    zeta[N * n:] = phi(0.0) - zeta[:N * n].reshape(N, n).sum(axis=0)
-    return zeta
+    h = float(h)
+    rule = gauss_legendre(N + 2, h)
+    vals = phi.sample(np.append(rule.nodes, 0.0))       # (N+3, n), phi(0) last
+    phi0 = vals[-1]
+    x, w = 2.0 * rule.nodes / h + 1.0, rule.weights * (2.0 / h)   # the rule on [-1, 1]
+    zeta = np.empty((N + 1, phi.n))
+    zeta[:N] = (legvander(x, N - 1).T * w) @ (vals[:-1] - phi0)
+    zeta[:N] *= (np.arange(N) + 0.5)[:, None]                       # (2k+1)/2
+    zeta[0] += phi0
+    zeta[N] = phi0 - zeta[:N].sum(axis=0)
+    return zeta.reshape(-1)
 
 
 def _to_combined(M, e, n, rows=False):

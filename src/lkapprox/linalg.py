@@ -27,11 +27,9 @@ __all__ = [
     "NumericalFailureError",
     "RangeError",
     "LyapunovSolution",
-    "SymEigen",
     "eigenvalues",
     "is_hurwitz",
     "solve_lyapunov",
-    "sym_eigen",
     "schur_complement",
     "expm",
 ]
@@ -376,18 +374,6 @@ def solve_lyapunov(A, Q):
     return LyapunovSolution(P, residual / scale, lam)
 
 
-class SymEigen(NamedTuple):
-    eigenvalues: np.ndarray   # ascending
-    eigenvectors: np.ndarray  # orthonormal columns
-
-
-def sym_eigen(S):
-    """Full eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-    S = _as_square(S, "S")
-    w, V = np.linalg.eigh(_symmetrized(S, "S"))
-    return SymEigen(w, V)
-
-
 def _is_psd(lam_min, lam_max):
     """The scale-free positivity verdict lam_min >= -1e-8 max(|lam_min|, |lam_max|)."""
     return lam_min >= -1e-8 * max(abs(lam_min), abs(lam_max))
@@ -432,7 +418,7 @@ def schur_complement(P, p):
         G = _trsv(R, B)
         S = X - G.T @ G
     else:
-        zw, zV = sym_eigen(Z)
+        zw, zV = np.linalg.eigh(Z)
         # Rounding in P leaves eigenvalues of Z of either sign at P's scale.
         if not _is_psd(float(zw[0]), max(float(zw[-1]), float(np.abs(P).max()))):
             return np.full((d - p, d - p), -np.inf)
@@ -452,7 +438,7 @@ def _lower_bound(P, n):
     S = schur_complement(P, len(P) - n)
     if S[0, 0] == -np.inf:
         return -np.inf
-    return float(sym_eigen(S).eigenvalues[0])
+    return float(np.linalg.eigvalsh(S)[0])
 
 
 # Coefficients b_0..b_13 of the [13/13] Pade approximant of exp, and the

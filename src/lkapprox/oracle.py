@@ -83,7 +83,11 @@ class DelayLyapunovMatrix:
         return Y, Z
 
     def pair(self, s):
-        """(Y(s), Z(s)) for s in [0, h]."""
+        """(Y(s), Z(s)) for s in [0, h].
+
+        No library path calls it (they call `pairs`); it stays, with
+        `__call__` on top of it, only because `perfbench/tracer.py` wraps it.
+        """
         Y, Z = self.pairs(float(s))
         return Y[0], Z[0]
 

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial.legendre import legvander
 
 from lkapprox import RfdeSystem
-from lkapprox.linalg import expm, schur_complement, solve_lyapunov, sym_eigen
+from lkapprox.linalg import expm, schur_complement, solve_lyapunov
 from lkapprox.spectral import NodeSet, cheb_nodes, gauss_legendre
 
 
@@ -367,7 +367,7 @@ def quad_k1(dl, weights, M=16, m=30):
     P[:p, p:] = P[p:, :p].T
     P[p:, p:] = dl(0.0)
     S = schur_complement(P, p)
-    return float(sym_eigen(S).eigenvalues[0])
+    return float(np.linalg.eigvalsh(S)[0])
 
 
 def random_stable_matrix(rng, d, margin=0.1):

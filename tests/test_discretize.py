@@ -71,6 +71,43 @@ def test_function_spec_variants():
         bad(0.0)
 
 
+_SEGMENTS = {
+    "constant": lambda: FunctionSpec.constant([1.0, -2.0, 0.5]),
+    "polynomial": lambda: FunctionSpec.polynomial(
+        [[0.5, 1.0, -3.0], [1.0, -1.0, 0.0], [2.0, 0.25, 1e-3], [-0.7, 0.0, 4.0]]),
+    "from_callable": lambda: FunctionSpec.from_callable(
+        lambda t: np.array([np.cos(t), t, np.exp(2.0 * t)]), 3),
+    "named-one": lambda: FunctionSpec.named("one", 3),
+    "named-sin": lambda: FunctionSpec.named("sin", 3),
+    "named-exp-decay": lambda: FunctionSpec.named("exp-decay", 3),
+}
+
+
+@pytest.mark.parametrize("make", _SEGMENTS.values(), ids=_SEGMENTS.keys())
+def test_function_spec_sample_matches_pointwise(make):
+    # One vectorized call gives, row by row, the pointwise values.
+    phi = make()
+    thetas = np.concatenate([cheb_nodes(16, 2.3).nodes, rng.uniform(-2.3, 0.0, 5)])
+    vals = phi.sample(thetas)
+    assert vals.shape == (thetas.size, 3)
+    for theta, row in zip(thetas, vals):
+        npt.assert_array_equal(row, phi(theta))
+    assert phi.sample(np.empty(0)).shape == (0, 3)
+
+
+def test_function_spec_sample_checks_callable_shape():
+    bad = FunctionSpec.from_callable(lambda t: np.zeros(3), 2)
+    with pytest.raises(DimensionError, match=r"shape \(3,\), expected \(2,\)"):
+        bad.sample(np.array([-1.0, 0.0]))
+    with pytest.raises(DimensionError):
+        bad(0.0)
+    # A wrong shape at one theta only is caught as well.
+    ragged = FunctionSpec.from_callable(lambda t: np.zeros(3 if t == 0.0 else 2), 2)
+    npt.assert_array_equal(ragged.sample(np.array([-1.0, -0.5])), np.zeros((2, 2)))
+    with pytest.raises(DimensionError):
+        ragged.sample(np.array([-1.0, 0.0]))
+
+
 @pytest.mark.parametrize("n", [2.7, True, 0, "2"])
 @pytest.mark.parametrize("make", [
     lambda n: FunctionSpec.from_callable(lambda t: np.zeros(2), n),

@@ -33,7 +33,6 @@ from lkapprox.linalg import (
     is_hurwitz,
     schur_complement,
     solve_lyapunov,
-    sym_eigen,
 )
 
 rng = np.random.default_rng(20240817)
@@ -190,7 +189,7 @@ def test_symmetry_checks_survive_overflowing_norms():
     # ||S - S^T||_F and ||S||_F both square past the double range here; the
     # asymmetry is of the order of S itself.
     with pytest.raises(ValueError, match="not symmetric"):
-        sym_eigen(np.array([[1e200, 1e200], [0.0, 1e200]]))
+        schur_complement(np.array([[1e200, 1e200], [0.0, 1e200]]), 1)
     with pytest.raises(ValueError, match="not symmetric"):
         solve_lyapunov(-np.eye(2), np.array([[1e200, 3e200], [0.0, 1e200]]))
 
@@ -206,33 +205,6 @@ def test_solve_lyapunov_residual_at_large_scale():
         sol = solve_lyapunov(A, c * Q)
         assert 0.0 <= sol.residual <= 1e-15
         npt.assert_allclose(sol.P / c, P, rtol=1e-13)
-
-
-def test_sym_eigen_identity():
-    ew, _ = sym_eigen(np.eye(3))
-    npt.assert_allclose(ew, [1.0, 1.0, 1.0])
-
-
-def test_sym_eigen_closed_form_2x2():
-    ew, _ = sym_eigen(np.array([[2.0, 1.0], [1.0, 1.0]]))
-    s5 = np.sqrt(5.0)
-    npt.assert_allclose(ew, [(3 - s5) / 2, (3 + s5) / 2], atol=1e-14)
-
-
-def test_sym_eigen_invariants():
-    for d in (2, 5, 12, 30):
-        S = rng.standard_normal((d, d))
-        S = S + S.T
-        ew, V = sym_eigen(S)
-        assert np.all(np.diff(ew) >= 0.0)
-        assert (np.linalg.norm(S @ V - V * ew, "fro")
-                <= 1e-10 * max(1.0, np.linalg.norm(S, "fro")))
-        assert np.linalg.norm(V.T @ V - np.eye(d), "fro") <= 1e-10 * d
-
-
-def test_sym_eigen_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_schur_complement_scalar_blocks():
@@ -253,8 +225,8 @@ def test_schur_complement_singular_block(monkeypatch):
     # complement is exactly C.  The explicit pseudo-inverse reference loses
     # about eps cond(Z) ||W||^2 to cancellation, the eigen branch does not.
     calls = []
-    monkeypatch.setattr(lkapprox.linalg, "sym_eigen",
-                        lambda S: calls.append(S.shape) or sym_eigen(S))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda S: calls.append(S.shape) or eigh(S))
     local = np.random.default_rng(12)
     U, _ = np.linalg.qr(local.standard_normal((4, 4)))
     Z = (U * np.array([1.0, 0.3, 1e-6, 1e-12])) @ U.T
