@@ -33,6 +33,7 @@ from .linalg import (
     is_hurwitz,
     solve_lyapunov,
 )
+from .spectral import _check_order
 
 __all__ = [
     "FunctionalApprox",
@@ -228,7 +229,7 @@ def _range_pencil(S, M):
     return np.linalg.eigvalsh(r[:, None] * R * r)
 
 
-def _itp(f, lo, hi, f_lo, f_hi, tol):
+def _itp(f, lo, hi, f_lo, f_hi, tol, max_steps=None):
     """Shrink a bracket with f(lo) < 0 <= f(hi) to at most `tol` wide.
 
     The ITP method (interpolate, truncate, project; Oliveira & Takahashi,
@@ -238,11 +239,15 @@ def _itp(f, lo, hi, f_lo, f_hi, tol):
     into the ball around the midpoint that keeps the bracket on course for
     n_max = ceil(log2((hi - lo) / tol)) + 1 steps, one more than bisection.
     A value f(x) < 0 moves lo to x, any other value moves hi.  `tol` must
-    exceed 8 ulps of max(|lo|, |hi|).  Returns (lo, hi, steps), the final
-    bracket and the number of evaluations of f.
+    exceed 8 ulps of max(|lo|, |hi|).  `max_steps` lowers n_max to a budget;
+    the course stays feasible while hi - lo <= (tol - 4 ulps) 2^max_steps.
+    Returns (lo, hi, steps), the final bracket and the number of evaluations
+    of f.
     """
     kappa1 = 2.0 / (hi - lo)
     n_max = int(np.ceil(np.log2((hi - lo) / tol))) + 1
+    if max_steps is not None:
+        n_max = min(n_max, max_steps)
     # The course ends a few ulps inside tol.  Once the bracket is on it,
     # every step is a bisection, and their rounding would otherwise leave
     # the last bracket an ulp past tol and cost a step beyond n_max.
@@ -282,32 +287,143 @@ def _check_bracket(bracket, tol):
     return h_lo, h_hi, tol
 
 
+def _delay_margin(A0, A1):
+    """Smallest delay h > 0 at which x' = A0 x + A1 x(t - h) has a root i omega.
+
+    inf when A0 + A1 is not Hurwitz or no root reaches the imaginary axis
+    at any delay.  A root i omega at delay h is an eigenvalue of A0 + z A1,
+    z = exp(-i omega h), whose conjugate -i omega is one of A0 + A1 / z, so
+    the quadratic z^2 (A1 x I) + z (A0 x I + I x A0) + I x A1 in Kronecker
+    products is singular there, with |z| = 1 (Chen, Gu & Nett, Syst. Control
+    Lett. 26, 1995; Jarlebring, J. Comput. Appl. Math. 224, 2009).  The
+    Cayley map z = (1 + w) / (1 - w) sends |z| = 1 to Re w = 0 and makes the
+    constant coefficient the Kronecker sum of A0 + A1 with itself, which is
+    nonsingular when A0 + A1 is Hurwitz; so one eigensolve of a 2n^2
+    companion matrix in mu = 1/w gives every candidate z (mu = 0 is
+    z = -1), and each imaginary eigenvalue i omega, omega > 0, of A0 + z A1
+    a crossing at h = (-arg z mod 2 pi) / omega.  A1 may be singular.  The
+    pencil is solved for A0 and A1 divided by ||A0||_1 + ||A1||_1, which
+    multiplies h by that scale.
+    """
+    n = A0.shape[0]
+    S = A0 + A1
+    if not np.max(np.linalg.eigvals(S).real) < 0.0:
+        return np.inf
+    scale = float(np.linalg.norm(A0, 1) + np.linalg.norm(A1, 1))
+    A0, A1, S = A0 / scale, A1 / scale, S / scale
+    eye = np.eye(n)
+    right, left = np.kron(A1, eye), np.kron(eye, A1)
+    both = np.kron(A0, eye) + np.kron(eye, A0)
+    # (mu^2 C0 + mu C1 + C2) v = 0 with C0 = S (+) S, C1 = 2 (right - left)
+    # and C2 = right + left - both, as a first-order companion.
+    m = n * n
+    companion = np.zeros((2 * m, 2 * m))
+    companion[:m, m:] = np.eye(m)
+    companion[m:] = -np.linalg.solve(np.kron(S, eye) + np.kron(eye, S),
+                                     np.hstack([right + left - both, 2.0 * (right - left)]))
+    if not np.all(np.isfinite(companion)):   # S too close to singular
+        return np.inf
+    mu = np.linalg.eigvals(companion)
+    mu = mu[np.abs(mu.real) <= 1e-6 * (1.0 + np.abs(mu))]
+    z = (mu + 1.0) / (mu - 1.0)
+    z /= np.abs(z)
+    lam = np.linalg.eigvals(A0 + z[:, None, None] * A1)
+    crossing = (np.abs(lam.real) <= 1e-6) & (lam.imag > 0.0)
+    h = np.divide(np.mod(-np.angle(z), 2.0 * np.pi)[:, None], lam.imag,
+                  out=np.full(lam.shape, np.inf), where=crossing)
+    return float(h.min(initial=np.inf)) / scale
+
+
+def _seeded_itp(f, lo, hi, tol, guess):
+    """`_itp`'s bracket and contract, searched from a guess of the root of f.
+
+    Windows [x - tol/2, x + tol/2] come first: one at the guess, then each
+    at the secant root of the last two values, its far side first, so a
+    near side that it passes is never evaluated.  Every value is kept, and
+    an end of [lo, hi], presumed f(lo) < 0 <= f(hi), is evaluated only when
+    the search reaches it.  A point is evaluated only if `_itp` could still
+    finish from either bracket it may leave within the count of ITP on
+    the whole [lo, hi], ceil(log2((hi - lo) / tol)) + 3 evaluations with
+    its ends; `_itp` finishes on the tightest bracket known when the
+    windows stop.  Returns (lo, hi, evaluations).
+    """
+    values = {}   # in the order evaluated
+
+    def value(x):
+        if x not in values:
+            values[x] = f(x)
+        return values[x]
+
+    budget = int(np.ceil(np.log2((hi - lo) / tol))) + 3
+    goal = tol - 4.0 * np.spacing(max(abs(lo), abs(hi)))   # as `_itp` sets it
+
+    def cost(a, b):
+        """Evaluations to finish from [a, b]: its unknown ends, then `_itp`."""
+        steps = 0 if b - a <= tol else int(np.ceil(np.log2((b - a) / goal)))
+        return (a not in values) + (b not in values) + steps
+
+    def finish(lo, hi):
+        f_lo, f_hi = value(lo), value(hi)
+        lo, hi, _ = _itp(value, lo, hi, f_lo, f_hi, tol, max_steps=budget - len(values))
+        return lo, hi, len(values)
+
+    while lo < guess < hi and hi - lo > tol:
+        a = max(lo, guess - 0.5 * tol)
+        b = min(hi, a + tol)
+        while b - a > tol:   # a + tol can round an ulp past tol
+            b = float(np.nextafter(b, a))
+        known = len(values)
+        for x in ((b, a) if values and guess > next(reversed(values)) else (a, b)):
+            # Both points of the first window are evaluated: they give the
+            # first secant its slope.
+            if x in values or (len(values) >= 2 and not lo <= x <= hi):
+                continue
+            if len(values) + max(cost(lo, x), cost(x, hi)) > budget:
+                return finish(lo, hi)
+            y = value(x)
+            if lo < x < hi:
+                lo, hi = (x, hi) if y < 0.0 else (lo, x)
+        (x0, y0), (x1, y1) = list(values.items())[-2:]
+        if len(values) == known or y0 == y1:
+            break
+        guess = x1 - y1 * (x1 - x0) / (y1 - y0)
+    return finish(lo, hi)
+
+
 def critical_delay(system, scheme="legendre", N=20, bracket=(1.0, 10.0), tol=1e-4):
     """Delay at which the closure's spectral abscissa crosses zero.
 
-    The lower bracket must be stable and the upper bracket unstable (both
-    for the chosen closure; an abscissa >= 0 counts as unstable).  The
-    bracket is shrunk by ITP root-finding on the abscissa (`_itp`), which
-    uses the abscissa's value, not only its sign, and needs at most one
-    closure eigen-solve more than bisection, usually about half as many.
-    Returns the midpoint of a final bracket at most `tol` wide that holds a
-    sign change, so the crossing lies within tol/2 of the result.  Raises
-    ValueError for a bad bracket or a `tol` at or below 8 ulps of its upper
-    end, which no bracket can reach.
+    The search starts from the delay system's own margin h_e
+    (`_delay_margin`, solved where its pencil of order 2n^2 is no larger
+    than the closure), to which the closure's crossing converges with N.
+    Where the abscissa changes sign across [h_e - tol/2, h_e + tol/2], the
+    result is h_e after 2 closure eigen-solves.  Otherwise the window moves
+    by secant steps on the abscissa values and ITP root-finding (`_itp`)
+    finishes, within ITP's count for the bracket,
+    ceil(log2((hi - lo) / tol)) + 3 eigen-solves (`_seeded_itp`).  Where h_e
+    is infinite or outside the bracket, ITP starts from its ends.  h_e only
+    places the windows: the result is the midpoint of a final bracket at
+    most `tol` wide across which the closure's abscissa changes sign, so
+    that crossing lies within tol/2 of it.
+
+    The lower bracket must be stable and the upper bracket unstable for the
+    chosen closure (an abscissa >= 0 counts as unstable), checked where the
+    search evaluates them.  Raises ValueError for a bad bracket or a `tol`
+    at or below 8 ulps of its upper end, which no bracket can reach.
     """
     h_lo, h_hi, tol = _check_bracket(bracket, tol)
+    N = _check_order(N)
 
-    def _abscissa(h):
-        model = build_model(dataclasses.replace(system, h=h), scheme, N)
-        return is_hurwitz(model.A)[1]
+    def abscissa(h):
+        a = is_hurwitz(build_model(dataclasses.replace(system, h=h), scheme, N).A)[1]
+        if h == h_lo and a >= 0.0:
+            raise ValueError(f"system is not stable at the lower bracket h = {h_lo}")
+        if h == h_hi and a < 0.0:
+            raise ValueError(f"system is still stable at the upper bracket h = {h_hi}")
+        return a
 
-    a_lo = _abscissa(h_lo)
-    if a_lo >= 0.0:
-        raise ValueError(f"system is not stable at the lower bracket h = {h_lo}")
-    a_hi = _abscissa(h_hi)
-    if a_hi < 0.0:
-        raise ValueError(f"system is still stable at the upper bracket h = {h_hi}")
-    h_lo, h_hi, steps = _itp(_abscissa, h_lo, h_hi, a_lo, a_hi, tol)
-    _log.debug("critical_delay: %d abscissa evaluations, final bracket [%r, %r]",
-               steps + 2, h_lo, h_hi)
+    h_e = _delay_margin(system.A0, system.A1) if 2 * system.n <= N + 1 else np.inf
+    h_lo, h_hi, evaluations = _seeded_itp(abscissa, h_lo, h_hi, tol, h_e)
+    _log.debug("critical_delay: %d abscissa evaluations, delay margin %r, "
+               "final bracket [%r, %r]", evaluations, h_e, h_lo, h_hi)
     return 0.5 * (h_lo + h_hi)

@@ -126,6 +126,10 @@ def _bind(dgees, dtrsyl3, dpocon, dtrsv):
         call(work.ctypes.data)
         return T, wr, wi, Z, info.value
 
+    # dtrsyl3's workspace depends only on the orders (m, n), through the
+    # block size ILAENV picks for them, so each order pair is queried once.
+    trsyl_work = {}   # (m, n) -> (IWORK's length, SWORK's rows, SWORK's columns)
+
     def trsyl(A, B, C):
         A, B, X = (np.asfortranarray(M, dtype=np.float64) for M in (A, B, C))
         m, n = ref(c_i64(X.shape[0])), ref(c_i64(X.shape[1]))
@@ -136,10 +140,14 @@ def _bind(dgees, dtrsyl3, dpocon, dtrsv):
                     X.ctypes.data, m, ref(scale), iwork.ctypes.data, ref(liwork),
                     swork.ctypes.data, ref(ldswork), ref(info), 1, 1)
 
-        iwork, swork = np.empty(1, dtype=np.int64), np.empty(2)
-        call(iwork, swork)   # workspace query: IWORK's length, SWORK's rows and columns
-        liwork.value, ldswork.value = int(iwork[0]), max(2, int(swork[0]))
-        call(np.empty(liwork.value, dtype=np.int64), np.empty(ldswork.value * int(swork[1])))
+        sizes = trsyl_work.get(X.shape)
+        if sizes is None:
+            iwork, swork = np.empty(1, dtype=np.int64), np.empty(2)
+            call(iwork, swork)   # workspace query
+            sizes = trsyl_work[X.shape] = (int(iwork[0]), max(2, int(swork[0])),
+                                           int(swork[1]))
+        liwork.value, ldswork.value, columns = sizes
+        call(np.empty(liwork.value, dtype=np.int64), np.empty(ldswork.value * columns))
         return X, scale.value
 
     def pocon(R, anorm):

@@ -1,12 +1,14 @@
 import dataclasses
+import itertools
 import logging
+import math
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import numpy.testing as npt
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.polynomial.legendre import legvander
@@ -30,7 +32,13 @@ from lkapprox import (
     k1,
 )
 from lkapprox.discretize import _to_combined, build_leg_model, build_model, discretize_leg
-from lkapprox.functional import _itp, baseline_k1, critical_delay
+from lkapprox.functional import (
+    _delay_margin,
+    _itp,
+    _seeded_itp,
+    baseline_k1,
+    critical_delay,
+)
 from lkapprox.linalg import ConvergenceError, DimensionError, is_hurwitz, solve_lyapunov
 from lkapprox.oracle import build_delay_lyap, k1_quad
 from lkapprox.spectral import cheb_nodes, gauss_legendre
@@ -449,23 +457,85 @@ def test_build_k1_factors_each_symmetric_matrix_once(monkeypatch, scheme):
     assert shapes == [(6, 6)] and counts == {"solve": 0}
 
 
+def _abscissa(system, scheme, N, h):
+    return is_hurwitz(build_model(dataclasses.replace(system, h=h), scheme, N).A)[1]
+
+
 @pytest.mark.parametrize("scheme", ["cheb", "legendre"])
 def test_critical_delay_examples(monkeypatch, ex1_system, ex2_system, ex1_h_crit,
                                  ex2_h_crit, scheme):
     tol = 1e-4
-    for system, h_crit in ((ex2_system, ex2_h_crit), (ex1_system, ex1_h_crit)):
+    for (system, h_crit), N in itertools.product(
+            ((ex2_system, ex2_h_crit), (ex1_system, ex1_h_crit)), (10, 20)):
         counts = {"eig": 0}
         with monkeypatch.context() as m:
             _count_calls(m, counts, "eig", lkapprox.functional, "is_hurwitz")
-            h = critical_delay(system, scheme, N=20, bracket=(1.0, 10.0), tol=tol)
+            h = critical_delay(system, scheme, N=N, bracket=(1.0, 10.0), tol=tol)
         assert abs(h - h_crit) <= 1e-2
-        # Bisection needs 2 + ceil(log2(9 / 1e-4)) = 19 closure eigen-solves.
-        assert counts["eig"] <= 12, counts
+        # The closure's crossing lies within tol/2 of the delay margin, so
+        # the window around it takes the only 2 closure eigen-solves; ITP on
+        # the whole bracket took 10-11, and bisection 2 + ceil(log2(9 / 1e-4)) = 19.
+        assert counts["eig"] == 2, counts
+        assert _abscissa(system, scheme, N, h - 0.5 * tol) < 0.0 <= _abscissa(
+            system, scheme, N, h + 0.5 * tol)
 
-        def abscissa(t):
-            return is_hurwitz(build_model(dataclasses.replace(system, h=t), scheme, 20).A)[1]
 
-        assert abscissa(h - 0.5 * tol) < 0.0 <= abscissa(h + 0.5 * tol)
+@pytest.mark.parametrize("scheme", ["cheb", "legendre"])
+def test_critical_delay_low_order_moves_the_window(monkeypatch, ex1_system, ex2_system,
+                                                   scheme):
+    # At N = 4 the closure's crossing is 3.1e-5 (example 1, legendre) to
+    # 0.30 (example 2, cheb) from the delay margin, on either side, so most
+    # windows fail and move to the secant root.  Each case takes fewer than
+    # the 11 closure eigen-solves of ITP on the whole bracket (5 and 7 for
+    # cheb, 2 and 4 for legendre, measured; 10 for example 2's legendre
+    # closure if each window's near side were evaluated first), and still
+    # ends on a sign change.
+    tol = 1e-4
+    for system in (ex1_system, ex2_system):
+        counts = {"eig": 0}
+        with monkeypatch.context() as m:
+            _count_calls(m, counts, "eig", lkapprox.functional, "is_hurwitz")
+            h = critical_delay(system, scheme, N=4, bracket=(1.0, 10.0), tol=tol)
+        assert counts["eig"] <= 8, counts
+        assert _abscissa(system, scheme, 4, h - 0.5 * tol) < 0.0 <= _abscissa(
+            system, scheme, 4, h + 0.5 * tol)
+
+
+@pytest.mark.parametrize("h_e", [1.0 + 1e-9, 1.00004, 3.0, 6.0, 6.17, 6.3, 9.99996,
+                                 10.0 - 1e-9])
+@pytest.mark.parametrize("tol", [1e-4, 1e-9])
+def test_critical_delay_holds_its_contract_from_any_seed(monkeypatch, ex2_system, h_e, tol):
+    # The delay margin only places the windows: from a wrong one the search
+    # still ends on a closure sign change within ITP's bound for the bracket.
+    monkeypatch.setattr(lkapprox.functional, "_delay_margin", lambda A0, A1: h_e)
+    counts = {"eig": 0}
+    _count_calls(monkeypatch, counts, "eig", lkapprox.functional, "is_hurwitz")
+    h = critical_delay(ex2_system, "legendre", N=10, bracket=(1.0, 10.0), tol=tol)
+    assert counts["eig"] <= int(np.ceil(np.log2(9.0 / tol))) + 3, counts
+    assert _abscissa(ex2_system, "legendre", 10, h - 0.5 * tol) < 0.0 <= _abscissa(
+        ex2_system, "legendre", 10, h + 0.5 * tol)
+
+
+def test_critical_delay_checks_each_bracket_end_it_reaches(monkeypatch, ex2_system,
+                                                           ex2_h_crit):
+    # Where the margin lies outside the bracket, or a seeded search reaches
+    # an end of the bracket, the end raises the error it always raised.
+    for bracket, match in (((6.5, 10.0), "lower bracket"), ((1.0, 6.0), "upper bracket")):
+        with pytest.raises(ValueError, match=match):
+            critical_delay(ex2_system, "legendre", N=10, bracket=bracket, tol=1e-4)
+    # A0 + A1 is not Hurwitz: no margin, and the lower end is unstable.
+    with pytest.raises(ValueError, match="lower bracket"):
+        critical_delay(RfdeSystem([[0.5]], [[-0.2]], 1.0), "legendre", N=10)
+    for h_e, bracket, match in ((8.0, (6.5, 10.0), "lower bracket"),
+                                (3.0, (1.0, 6.0), "upper bracket")):
+        with monkeypatch.context() as m:
+            m.setattr(lkapprox.functional, "_delay_margin", lambda A0, A1: h_e)
+            with pytest.raises(ValueError, match=match):
+                critical_delay(ex2_system, "legendre", N=10, bracket=bracket, tol=1e-4)
+    # A window clipped at an end evaluates it: here it holds the crossing.
+    h = critical_delay(ex2_system, "legendre", N=20, bracket=(1.0, ex2_h_crit + 1e-5),
+                       tol=1e-4)
+    assert abs(h - ex2_h_crit) <= 5e-5
 
 
 def _step(x):
@@ -510,18 +580,96 @@ def test_itp_bracket_and_evaluation_bound(f, tol):
     # Bisection's count, endpoints included, is ceil(log2(10 / tol)) + 2.
     assert len(calls) <= int(np.ceil(np.log2((hi - lo) / tol))) + 3
 
+    # Searched from a guess at the root, beside it, at or past an end, or
+    # from none, the bracket keeps that contract and count, and no point is
+    # evaluated twice.
+    for guess in (np.pi, 3.3, 5.0, 5.0 + tol, 1e-12, 2.0, 7.0, 9.99, hi, -1.0,
+                  np.inf, np.nan):
+        calls.clear()
+        a, b, evaluations = _seeded_itp(counted, lo, hi, tol, guess)
+        assert evaluations == len(calls) == len(set(calls))
+        assert b - a <= tol
+        assert f(a) < 0.0 <= f(b)
+        assert len(calls) <= int(np.ceil(np.log2((hi - lo) / tol))) + 3
 
-def test_critical_delay_deterministic(ex2_system, caplog):
+
+def _scalar_margin(a, b):
+    """Smallest h at which lam = a + b exp(-lam h) has a root on the
+    imaginary axis, for a + b < 0: acos(-a/b) / sqrt(b^2 - a^2), taken at
+    unit scale |a| + |b| = s and divided by s."""
+    if abs(b) <= -a:
+        return math.inf
+    s = abs(a) + abs(b)
+    a, b = a / s, b / s
+    return math.acos(-a / b) / math.sqrt(b * b - a * a) / s
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+def test_delay_margin_scalar(a, b):
+    # Away from the boundaries a + b = 0 and |b| = -a, where the margin
+    # jumps to infinity.
+    scale = abs(a) + abs(b)
+    assume(abs(a + b) > 1e-3 * scale and abs(abs(b) + a) > 1e-3 * scale)
+    got = _delay_margin(np.array([[a]]), np.array([[b]]))
+    want = _scalar_margin(a, b) if a + b < 0.0 else np.inf
+    if np.isinf(want):
+        assert got == np.inf
+    else:
+        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_delay_margin_rotated_triangular_system(seed):
+    # Lower-triangular A0 and A1 have the characteristic roots of their
+    # diagonal pairs, so the margin is the smallest of theirs, also after
+    # an orthogonal change of coordinates makes both matrices dense.
+    local = np.random.default_rng(seed)
+    n = 1 + seed % 6
+    b = -local.uniform(0.2, 3.0, n)
+    a = np.minimum(local.uniform(-3.0, 1.0, n), -b - 0.1)
+    A0 = np.diag(a) + np.tril(local.standard_normal((n, n)), -1)
+    A1 = np.diag(b) + np.tril(local.standard_normal((n, n)), -1)
+    Q = np.linalg.qr(local.standard_normal((n, n)))[0]
+    got = _delay_margin(Q @ A0 @ Q.T, Q @ A1 @ Q.T)
+    want = min(_scalar_margin(x, y) for x, y in zip(a, b))
+    assert got == want == np.inf or abs(got - want) <= 1e-10 * want
+
+
+def test_delay_margin_special_cases(ex1_h_crit, ex2_system, ex2_h_crit):
+    # Scaling both matrices by c scales the margin by 1/c.
+    for c in (1e-300, 1.0, 1e300):
+        npt.assert_allclose(_delay_margin(c * ex2_system.A0, c * ex2_system.A1),
+                            ex2_h_crit / c, rtol=1e-13)
+    # A rank-one A1: example 1's crossing in the first coordinate, none in
+    # the second, whose delayed term vanishes.
+    Q = np.linalg.qr(np.random.default_rng(5).standard_normal((2, 2)))[0]
+    A0 = Q @ np.array([[-0.5, 0.0], [0.7, -2.0]]) @ Q.T
+    A1 = Q @ np.array([[-1.0, 0.0], [0.3, 0.0]]) @ Q.T
+    assert np.linalg.matrix_rank(A1) == 1
+    npt.assert_allclose(_delay_margin(A0, A1), ex1_h_crit, rtol=1e-12)
+    # No delayed term, stable for every delay, and unstable at h = 0.
+    assert _delay_margin(ex2_system.A0, np.zeros((2, 2))) == np.inf
+    stable = random_stable_rfde(np.random.default_rng(3), 3)
+    assert _delay_margin(stable.A0, stable.A1) == np.inf
+    assert _delay_margin(np.array([[0.5]]), np.array([[-0.2]])) == np.inf
+    assert _delay_margin(np.array([[-1.0]]), np.array([[1.0]])) == np.inf
+
+
+def test_critical_delay_deterministic(ex2_system, ex2_h_crit, caplog):
     with caplog.at_level(logging.DEBUG, logger="lkapprox"):
         a = critical_delay(ex2_system, "legendre", N=10, bracket=(1.0, 10.0), tol=1e-3)
     b = critical_delay(ex2_system, "legendre", N=10, bracket=(1.0, 10.0), tol=1e-3)
     assert a == b
-    # One DEBUG record: the evaluation count and the final bracket.
+    # One DEBUG record: the evaluation count, the delay system's own margin
+    # and the final bracket, the window around that margin.
     (record,) = caplog.records
     assert record.name == "lkapprox.functional" and record.levelno == logging.DEBUG
-    evaluations, lo, hi = record.args
-    assert 2 < evaluations <= 2 + int(np.ceil(np.log2(9.0 / 1e-3))) + 1
-    assert hi - lo <= 1e-3 and a == 0.5 * (lo + hi)
+    evaluations, h_e, lo, hi = record.args
+    assert evaluations <= 2 + int(np.ceil(np.log2(9.0 / 1e-3))) + 1
+    assert evaluations == 2
+    assert abs(h_e - ex2_h_crit) <= 1e-12 * ex2_h_crit
+    assert hi - lo <= 1e-3 and a == 0.5 * (lo + hi) and lo < h_e < hi
 
 
 def test_critical_delay_bracket_errors():

@@ -455,6 +455,50 @@ def test_lapack_probe():
         assert routines is not None and len(routines) == 4
 
 
+@pytest.mark.skipif(lkapprox.linalg._LAPACK_SOURCE == "scipy",
+                    reason="the SciPy fallback calls dtrsyl, which takes no workspace")
+def test_trsyl_queries_each_workspace_once_and_stays_bit_identical(monkeypatch):
+    # The bound trsyl asks dtrsyl3 for its workspace once per order pair
+    # (m, n).  The pairs alternate, square and not, so an entry cached under
+    # the wrong key would change a result against a fresh binding, whose
+    # empty cache queries anew.
+    la = lkapprox.linalg
+    lib = ctypes.CDLL(la._LAPACK_SOURCE)
+    fns = [getattr(lib, f"scipy_{name}_64_", None) or getattr(lib, f"{name}_64_")
+           for name in ("dgees", "dtrsyl3", "dpocon", "dtrsv")]
+    la._bind(*fns)   # sets the argument types the wrapper below passes through
+    calls = []
+
+    def dtrsyl3(*args):
+        calls.append(args[13]._obj.value)   # LIWORK: -1 marks the query
+        return fns[1](*args)
+
+    trsyl = la._bind(fns[0], dtrsyl3, *fns[2:]).trsyl
+    local = np.random.default_rng(23)
+
+    def triangular(k):
+        return np.triu(local.standard_normal((k, k))) / np.sqrt(k) - np.diag(
+            local.uniform(1.0, 2.0, k))
+
+    pairs = [(10, 10), (42, 42), (246, 246), (10, 246), (246, 10), (42, 42),
+             (10, 10), (246, 246), (10, 246), (246, 10)]
+    for m, n in pairs:
+        A, B, C = triangular(m), triangular(n), local.standard_normal((m, n))
+        X, scale = trsyl(A, B, C.copy())
+        X_ref, scale_ref = la._probe(lib).trsyl(A, B, C.copy())
+        assert scale == scale_ref and np.array_equal(X, X_ref)
+        npt.assert_allclose(A @ X + X @ B.T, scale * C, atol=1e-12 * np.abs(C).max())
+    assert calls.count(-1) == len(set(pairs)) and len(calls) == len(pairs) + len(set(pairs))
+
+    # solve_lyapunov's P is bit-identical with the shared binding and with a
+    # fresh one per call.
+    As = [random_stable_matrix(local, d) for d in (10, 42, 246, 10, 246, 42)]
+    shared = [solve_lyapunov(A, np.eye(A.shape[0])).P for A in As]
+    monkeypatch.setattr(la, "_trsyl", lambda *args: la._probe(lib).trsyl(*args))
+    for A, P in zip(As, shared):
+        assert np.array_equal(solve_lyapunov(A, np.eye(A.shape[0])).P, P)
+
+
 def test_failed_probe_binds_scipy(monkeypatch):
     monkeypatch.setattr(lkapprox.linalg, "_probe", lambda lib: None)
     source, routines = lkapprox.linalg._bind_lapack()
