@@ -35,7 +35,6 @@ from lkapprox.discretize import _to_combined, build_leg_model, build_model, disc
 from lkapprox.functional import (
     _delay_margin,
     _itp,
-    _seeded_itp,
     baseline_k1,
     critical_delay,
 )
@@ -481,22 +480,22 @@ def test_critical_delay_examples(monkeypatch, ex1_system, ex2_system, ex1_h_crit
 
 
 @pytest.mark.parametrize("scheme", ["cheb", "legendre"])
-def test_critical_delay_low_order_moves_the_window(monkeypatch, ex1_system, ex2_system,
-                                                   scheme):
+def test_critical_delay_low_order_finishes_beside_the_window(monkeypatch, ex1_system,
+                                                             ex2_system, scheme):
     # At N = 4 the closure's crossing is 3.1e-5 (example 1, legendre) to
     # 0.30 (example 2, cheb) from the delay margin, on either side, so most
-    # windows fail and move to the secant root.  Each case takes fewer than
-    # the 11 closure eigen-solves of ITP on the whole bracket (5 and 7 for
-    # cheb, 2 and 4 for legendre, measured; 10 for example 2's legendre
-    # closure if each window's near side were evaluated first), and still
-    # ends on a sign change.
+    # windows miss it and ITP finishes between the window and an end of the
+    # bracket.  Each case takes fewer than the 11 closure eigen-solves of
+    # ITP on the whole bracket (8 and 9 for cheb, 2 and 7 for legendre,
+    # measured; 11, 10, 12 and 2 with kappa1 = 2 / (hi - lo) beside the
+    # window), and still ends on a sign change.
     tol = 1e-4
     for system in (ex1_system, ex2_system):
         counts = {"eig": 0}
         with monkeypatch.context() as m:
             _count_calls(m, counts, "eig", lkapprox.functional, "is_hurwitz")
             h = critical_delay(system, scheme, N=4, bracket=(1.0, 10.0), tol=tol)
-        assert counts["eig"] <= 8, counts
+        assert counts["eig"] <= 9, counts
         assert _abscissa(system, scheme, 4, h - 0.5 * tol) < 0.0 <= _abscissa(
             system, scheme, 4, h + 0.5 * tol)
 
@@ -514,6 +513,33 @@ def test_critical_delay_holds_its_contract_from_any_seed(monkeypatch, ex2_system
     assert counts["eig"] <= int(np.ceil(np.log2(9.0 / tol))) + 3, counts
     assert _abscissa(ex2_system, "legendre", 10, h - 0.5 * tol) < 0.0 <= _abscissa(
         ex2_system, "legendre", 10, h + 0.5 * tol)
+
+
+@pytest.mark.parametrize("widen", [-1e-9, 1e-9])
+def test_critical_delay_seeds_only_where_itp_can_finish(monkeypatch, ex1_system, widen):
+    # tol^2 < 8 ulp(hi) (hi - lo): with (hi - lo) / tol just below 2^18, ITP
+    # beside the window would take one bisection step past the bracket's
+    # count, so the search starts from the bracket's ends; just above 2^18
+    # it has a step to spare and the window comes first.
+    system = RfdeSystem(ex1_system.A0 / 16.0, ex1_system.A1 / 16.0, 1.0)
+    h_c = critical_delay(system, "legendre", N=10, bracket=(1.0, 200.0), tol=1e-11)
+    tol = 1e-10
+    lo = h_c - 0.3 * tol * 2.0 ** 18
+    hi = lo + tol * 2.0 ** 18 * (1.0 + widen)
+    monkeypatch.setattr(lkapprox.functional, "_delay_margin", lambda A0, A1: lo + 0.1 * tol)
+    points = []
+    build = lkapprox.functional.build_model
+
+    def recorded(system, scheme, N):
+        points.append(system.h)
+        return build(system, scheme, N)
+
+    monkeypatch.setattr(lkapprox.functional, "build_model", recorded)
+    h = critical_delay(system, "legendre", N=10, bracket=(lo, hi), tol=tol)
+    assert points[0] == lo and (points[1] == hi) == (widen < 0.0)
+    assert len(points) <= int(np.ceil(np.log2((hi - lo) / tol))) + 3
+    assert _abscissa(system, "legendre", 10, h - 0.5 * tol) < 0.0 <= _abscissa(
+        system, "legendre", 10, h + 0.5 * tol)
 
 
 def test_critical_delay_checks_each_bracket_end_it_reaches(monkeypatch, ex2_system,
@@ -573,21 +599,13 @@ def test_itp_bracket_and_evaluation_bound(f, tol):
         calls.append(x)
         return f(x)
 
-    a, b, steps = _itp(counted, lo, hi, counted(lo), counted(hi), tol)
-    assert steps == len(calls) - 2
-    assert b - a <= tol
-    assert f(a) < 0.0 <= f(b)
-    # Bisection's count, endpoints included, is ceil(log2(10 / tol)) + 2.
-    assert len(calls) <= int(np.ceil(np.log2((hi - lo) / tol))) + 3
-
-    # Searched from a guess at the root, beside it, at or past an end, or
-    # from none, the bracket keeps that contract and count, and no point is
-    # evaluated twice.
-    for guess in (np.pi, 3.3, 5.0, 5.0 + tol, 1e-12, 2.0, 7.0, 9.99, hi, -1.0,
-                  np.inf, np.nan):
+    # Either truncation keeps the contract and the count: bisection's,
+    # endpoints included, is ceil(log2(10 / tol)) + 2.
+    for kappa1 in (2.0 / (hi - lo), 0.2 / (hi - lo)):
         calls.clear()
-        a, b, evaluations = _seeded_itp(counted, lo, hi, tol, guess)
-        assert evaluations == len(calls) == len(set(calls))
+        a, b, steps = _itp(counted, lo, hi, counted(lo), counted(hi), tol,
+                           int(np.ceil(np.log2((hi - lo) / tol))) + 1, kappa1)
+        assert steps == len(calls) - 2
         assert b - a <= tol
         assert f(a) < 0.0 <= f(b)
         assert len(calls) <= int(np.ceil(np.log2((hi - lo) / tol))) + 3
