@@ -26,7 +26,7 @@ from importlib import resources
 import numpy as np
 
 from . import functional, oracle
-from .discretize import (COORDINATES, SCHEMES, CostWeights, FunctionSpec, RfdeSystem,
+from .discretize import (SCHEMES, CostWeights, FunctionSpec, RfdeSystem,
                          _check_dimensions, build_model)
 from .linalg import (
     ConvergenceError,
@@ -238,7 +238,7 @@ def _build_summary(fa):
         "N": fa.N,
         "n": fa.system.n,
         "h": fa.system.h,
-        "coordinates": COORDINATES[fa.scheme],
+        "coordinates": fa.model.coordinates,
         "residual": fa.residual,
         "hurwitz": fa.hurwitz,
         "max_re": fa.max_re,

@@ -3,8 +3,8 @@
 The state segment x(t + theta), theta in [-h, 0], is approximated either by
 its values on the Chebyshev grid (collocation) or by Legendre coefficients
 (tau method).  Both closures are linear ODEs whose system matrices are built
-here, together with what the functional needs of each scheme: the row that
-reads phi(0) off the coordinates and the mass matrices of the history terms.
+here with all else that depends on the scheme (`DiscreteModel`), and only
+`build_model` tells the schemes apart.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from .linalg import DimensionError, _as_square, _symmetrized, is_hurwitz
 from .spectral import (
     _check_h,
     _check_order,
+    _unit_leg_cheb,
     cheb_diffmat,
     cheb_nodes,
     gauss_legendre,
-    transform_leg_to_chebvals,
 )
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
 ]
 
 SCHEMES = ("cheb", "legendre")
-# The coordinates of each scheme's closure, as `lk` reports them.
-COORDINATES = {"cheb": "chebyshev-values", "legendre": "legendre-coefficients"}
 
 
 def _finite(M, name):
@@ -184,11 +182,15 @@ class FunctionSpec:
 class DiscreteModel:
     """One spectral ODE closure of an RfdeSystem, with the data of its functional.
 
-    `A` is the closure matrix in the scheme's own coordinates c: grid values
-    for "cheb", Legendre coefficient blocks for "legendre".  The row `e`
-    reads phi(0) = kron(e', I) c off the coordinates, and the mass matrices
-    give c' kron(M1, Q1) c = int phi' Q1 phi and
-    c' kron(M2, Q2) c = int (h + s) phi' Q2 phi over [-h, 0].
+    The builders set every field.  `A` is the closure matrix in the scheme's
+    own coordinates c, which `coordinates` names for `lk`: grid values for
+    "cheb", Legendre coefficient blocks for "legendre".  The row `e` reads
+    phi(0) = kron(e', I) c off the coordinates, and the mass matrices give
+    c' kron(M1, Q1) c = int phi' Q1 phi and c' kron(M2, Q2) c =
+    int (h + s) phi' Q2 phi over [-h, 0].  `read` maps a FunctionSpec to its
+    stacked coordinates c, and `to_grid` is the (N+1) x (N+1) map T with
+    c = kron(T, I) v for the grid values v of the represented segment, or
+    None where c is v.
     """
 
     scheme: str
@@ -198,6 +200,9 @@ class DiscreteModel:
     e: np.ndarray
     M1: np.ndarray
     M2: np.ndarray
+    coordinates: str
+    read: Callable
+    to_grid: np.ndarray | None
 
     def __post_init__(self):
         for name in ("A", "e", "M1", "M2"):
@@ -208,41 +213,50 @@ class DiscreteModel:
         return self.system.n
 
 
+def _closure(system, D, e, r):
+    """kron(D, I) plus kron(e, A0) + kron(r, A1) in its last block row, the
+    delay equation read through phi(0) = kron(e', I) c and phi(-h) = kron(r', I) c."""
+    n = system.n
+    A = np.kron(D, np.eye(n))
+    A[-n:] += np.kron(e, system.A0) + np.kron(r, system.A1)
+    return A
+
+
 def build_cheb_model(system, N):
     """Collocation closure on the N+1 Chebyshev nodes.
 
-    The first N block rows differentiate the grid values; the last block row
-    is exactly [A1, 0, ..., 0, A0], the delay equation read at theta = 0.
-    The endpoint is the last grid value, and the mass matrices are the
-    Clenshaw-Curtis rules diag(w) and diag(w (h + theta)).
+    `_closure` with D = cheb_diffmat, its last row zeroed, e = e_N and r = e_0:
+    the first N block rows differentiate the grid values, and the last is
+    [A1, 0, ..., 0, A0].  The endpoint is the last grid value, and the mass
+    matrices are the Clenshaw-Curtis rules diag(w) and diag(w (h + theta)).
     """
-    n = system.n
     N = _check_order(N)
-    grid = cheb_nodes(N, system.h)
-    D = cheb_diffmat(N, system.h)
-    top = np.kron(D[:N, :], np.eye(n))
-    last = np.zeros((n, n * (N + 1)))
-    last[:, :n] = system.A1
-    last[:, n * N:] = system.A0
+    h = system.h
+    grid = cheb_nodes(N, h)
+    D = cheb_diffmat(N, h)
+    D[N] = 0.0
+    eye = np.eye(N + 1)
     w = grid.weights
-    return DiscreteModel("cheb", system, N, np.vstack([top, last]),
-                         np.eye(N + 1)[N], np.diag(w), np.diag(w * (system.h + grid.nodes)))
+    return DiscreteModel("cheb", system, N, _closure(system, D, eye[N], eye[0]),
+                         eye[N], np.diag(w), np.diag(w * (h + grid.nodes)),
+                         "chebyshev-values", lambda phi: discretize_cheb(phi, N, h),
+                         None)
 
 
 def build_leg_model(system, N):
     """Tau-method closure in Legendre coefficient coordinates.
 
-    Block (j, k) is (2/h)(2j+1) I for j < N, k > j, j+k odd (the coefficient
-    form of differentiation), and the last block row carries the delay
-    equation A0 + (-1)^k A1 - (2/h) k(k+1)/2 I.
+    `_closure` with D = (2/h) Dc, e = p_k(1) = 1 and r = p_k(-1) = (-1)^k.
+    Entry (j, k) of Dc is 2j+1 for j < N, k > j, j+k odd (the coefficient
+    form of differentiation), and its last row -k(k+1)/2 makes the last block
+    row A0 + (-1)^k A1 - (2/h) k(k+1)/2 I.
 
-    phi(0) is the sum of all N+1 blocks (p_k(1) = 1).  The mass matrices are
-    the exact moments of p_j p_k and (h + s) p_j p_k over the N history
-    coefficients: M1 = diag(h/(2k+1)), and M2 = (h/2) M1 plus (h/2)^2 times
-    2(k+1)/((2k+1)(2k+3)) beside the diagonal.  The last block, the
-    endpoint matcher, carries no mass.
+    The mass matrices are the exact moments of p_j p_k and (h + s) p_j p_k
+    over the N history coefficients: M1 = diag(h/(2k+1)), and M2 = (h/2) M1
+    plus (h/2)^2 times 2(k+1)/((2k+1)(2k+3)) beside the diagonal.  The last
+    block, the endpoint matcher, carries no mass.  `to_grid` is the inverse
+    Legendre Vandermonde matrix on the Chebyshev grid.
     """
-    n = system.n
     N = _check_order(N)
     h = system.h
     Dc = np.zeros((N + 1, N + 1))
@@ -250,22 +264,23 @@ def build_leg_model(system, N):
         Dc[j, j + 1::2] = 2 * j + 1
     k = np.arange(N + 1, dtype=float)
     Dc[N, :] = -k * (k + 1.0) / 2.0
-    A = (2.0 / h) * np.kron(Dc, np.eye(n))
-    signs = (-1.0) ** np.arange(N + 1)
-    A[n * N:, :] += np.hstack([system.A0 + s * system.A1 for s in signs])
+    e = np.ones(N + 1)
+    A = _closure(system, (2.0 / h) * Dc, e, (-1.0) ** np.arange(N + 1))
     den = 2.0 * k[:N] + 1.0
     M1 = np.diag(np.append(h / den, 0.0))
     off = np.append(0.5 * h * h * k[1:N] / (den[:-1] * den[1:]), 0.0)
     M2 = 0.5 * h * M1 + np.diag(off, 1) + np.diag(off, -1)
-    return DiscreteModel("legendre", system, N, A, np.ones(N + 1), M1, M2)
+    return DiscreteModel("legendre", system, N, A, e, M1, M2,
+                         "legendre-coefficients", lambda phi: discretize_leg(phi, N, h),
+                         _unit_leg_cheb(N)[1])
 
 
 def build_model(system, scheme, N):
     """The closure of `system` for `scheme` (one of SCHEMES) at order N."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    # The builders are looked up as module globals on each call, so a
-    # rebinding of either (as a tracing profiler does) reaches this path.
+    # The builders, and the discretizers in the models' `read`, are looked up
+    # as module globals on each call, so a tracing profiler's rebinding counts.
     if scheme == "cheb":
         return build_cheb_model(system, N)
     return build_leg_model(system, N)
@@ -277,22 +292,6 @@ def _check_dimensions(system, weights):
         raise DimensionError(
             f"weights are {weights.n}-dimensional but the system is {system.n}-dimensional"
         )
-
-
-def _coordinates(model, phi):
-    """Segment phi in the closure's coordinates: its Chebyshev grid values
-    or its Legendre coefficients."""
-    if model.scheme == "cheb":
-        return discretize_cheb(phi, model.N, model.system.h)
-    return discretize_leg(phi, model.N, model.system.h)
-
-
-def _grid_map(model):
-    """The map from the closure's coordinates to Chebyshev grid values, or
-    None where the coordinates are the grid values."""
-    if model.scheme == "cheb":
-        return None
-    return transform_leg_to_chebvals(model.N, model.n)[1]
 
 
 def discretize_cheb(phi, N, h):

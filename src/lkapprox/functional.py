@@ -20,8 +20,6 @@ from .discretize import (
     DiscreteModel,
     RfdeSystem,
     _check_dimensions,
-    _coordinates,
-    _grid_map,
     _to_combined,
     build_model,
 )
@@ -57,7 +55,7 @@ class FunctionalApprox:
     Lyapunov solve, the same solve for both schemes; `lam_min`/`lam_max` are
     the extreme eigenvalues of P, and `psd` is the scale-free verdict
     lam_min >= -1e-8 max(|lam_min|, |lam_max|), the rule `k1` also applies.
-    The record is frozen: `k1` and `grid_matrix` compute from it anew.
+    The record is frozen and P read-only: `k1` and `grid_matrix` compute anew.
     """
 
     scheme: str
@@ -75,9 +73,10 @@ class FunctionalApprox:
 
     def grid_matrix(self):
         """P expressed on the Chebyshev value grid (both schemes)."""
-        T_vc = _grid_map(self.model)
-        if T_vc is None:
+        T = self.model.to_grid
+        if T is None:
             return self.P
+        T_vc = np.kron(T, np.eye(self.system.n))
         M = T_vc.T @ self.P @ T_vc
         return 0.5 * (M + M.T)
 
@@ -118,6 +117,7 @@ def build_functional(system, weights, scheme="legendre", N=20, *,
     P = sol.P + np.kron(model.M1, weights.Q1)
     if np.any(weights.Q2):
         P = P + np.kron(model.M2, weights.Q2)
+    P.setflags(write=False)
 
     max_re = float(np.max(sol.eigenvalues.real))
     ew = np.linalg.eigvalsh(P)
@@ -136,7 +136,7 @@ def evaluate(fa, phi):
         raise DimensionError(
             f"segment is {phi.n}-dimensional but the system is {fa.system.n}-dimensional"
         )
-    c = _coordinates(fa.model, phi)
+    c = fa.model.read(phi)
     return float(c @ fa.P @ c)
 
 

@@ -194,6 +194,26 @@ def test_scheme_dispatch_builds_each_closure(ex2_system):
         build_model(ex2_system, "fourier", 6)
 
 
+@pytest.mark.parametrize("scheme", ["cheb", "legendre"])
+def test_model_reads_segments_into_its_coordinates(ex2_system, scheme):
+    # A polynomial segment of degree <= N is represented exactly: its
+    # coordinates give back phi(0) through e, and they are to_grid applied
+    # to its values on the Chebyshev grid (the identity for cheb).
+    N, n, h = 9, ex2_system.n, ex2_system.h
+    model = build_model(ex2_system, scheme, N)
+    phi = FunctionSpec.polynomial(np.random.default_rng(22).standard_normal((N + 1, n)))
+    c = model.read(phi)
+    phi0 = phi(0.0)
+    npt.assert_allclose(np.kron(model.e, np.eye(n)) @ c, phi0,
+                        rtol=1e-13, atol=1e-13 * np.abs(phi0).max())
+    T = np.eye(N + 1) if model.to_grid is None else model.to_grid
+    values = phi.sample(cheb_nodes(N, h).nodes).reshape(-1)
+    npt.assert_allclose(c, np.kron(T, np.eye(n)) @ values,
+                        rtol=1e-13, atol=1e-13 * np.abs(c).max())
+    assert model.coordinates == {"cheb": "chebyshev-values",
+                                 "legendre": "legendre-coefficients"}[scheme]
+
+
 def test_leg_model_similarity_spectrum(ex2_system):
     model = build_leg_model(ex2_system, 12)
     T_cv, T_vc = transform_leg_to_chebvals(12, ex2_system.n)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.polynomial.legendre import legvander
 
+import lkapprox.discretize
 import lkapprox.functional
 import lkapprox.linalg
 from helpers import (
@@ -113,6 +114,30 @@ def test_evaluate_dimension_mismatch(ex2_system, ex2_weights):
     fa = build_functional(ex2_system, ex2_weights, "legendre", 10)
     with pytest.raises(DimensionError):
         evaluate(fa, FunctionSpec.constant([1.0]))
+
+
+@pytest.mark.parametrize("scheme, own", [("cheb", "discretize_cheb"),
+                                         ("legendre", "discretize_leg")])
+def test_evaluate_reads_through_the_module_discretizer(monkeypatch, ex2_system,
+                                                        ex2_weights, scheme, own):
+    # A tracing profiler rebinds the module's discretizers after the package is
+    # imported; a built model must reach the rebound one, or its span reads 0.
+    fa = build_functional(ex2_system, ex2_weights, scheme, 10)
+    counts = {"discretize_cheb": 0, "discretize_leg": 0}
+    for name in counts:
+        _count_calls(monkeypatch, counts, name, lkapprox.discretize, name)
+    evaluate(fa, FunctionSpec.named("sin", 2))
+    assert counts == {"discretize_cheb": 0, "discretize_leg": 0, own: 1}
+
+
+@pytest.mark.parametrize("scheme", ["cheb", "legendre"])
+def test_functional_matrix_is_read_only(ex2_system, ex2_weights, scheme):
+    # For cheb, grid_matrix() is P itself, so a write there would move k1
+    # while lam_min/lam_max and psd kept describing the old P.
+    fa = build_functional(ex2_system, ex2_weights, scheme, 6)
+    for M in (fa.P, fa.grid_matrix()) if scheme == "cheb" else (fa.P,):
+        with pytest.raises(ValueError, match="read-only"):
+            M[-1, -1] += 100.0
 
 
 def test_evaluate_matches_quadrature_oracle(ex1_system, ex1_weights):
