@@ -10,13 +10,14 @@ here with all else that depends on the scheme (`DiscreteModel`), and only
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
 from numpy.polynomial.polynomial import polyval
 
-from .linalg import DimensionError, _as_square, _symmetrized, is_hurwitz
+from .linalg import DimensionError, _as_square, _kron, _symmetrized, is_hurwitz
 from .spectral import (
     _check_h,
     _check_order,
@@ -61,7 +62,9 @@ def _frozen_array(M):
     return M
 
 
-@dataclass(frozen=True)
+# The records hold arrays, whose == is elementwise and which do not hash, so
+# they compare and hash by identity (eq=False), as in the other modules.
+@dataclass(frozen=True, eq=False)
 class RfdeSystem:
     """x'(t) = A0 x(t) + A1 x(t - h) with a single discrete delay h > 0."""
 
@@ -81,7 +84,7 @@ class RfdeSystem:
         return self.A0.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostWeights:
     """Weights (Q0, Q1, Q2) of the prescribed functional derivative.
 
@@ -106,6 +109,10 @@ class CostWeights:
 
     def is_complete(self):
         """Whether Q0 > 0, Q1 > 0, and Q2 >= 0 (up to roundoff)."""
+        return self._complete
+
+    @cached_property
+    def _complete(self):   # once per record: the weights are frozen
         w0 = np.linalg.eigvalsh(self.Q0)
         w1 = np.linalg.eigvalsh(self.Q1)
         w2 = np.linalg.eigvalsh(self.Q2)
@@ -178,7 +185,7 @@ class FunctionSpec:
         return self.sample(np.array([float(theta)]))[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteModel:
     """One spectral ODE closure of an RfdeSystem, with the data of its functional.
 
@@ -217,8 +224,8 @@ def _closure(system, D, e, r):
     """kron(D, I) plus kron(e, A0) + kron(r, A1) in its last block row, the
     delay equation read through phi(0) = kron(e', I) c and phi(-h) = kron(r', I) c."""
     n = system.n
-    A = np.kron(D, np.eye(n))
-    A[-n:] += np.kron(e, system.A0) + np.kron(r, system.A1)
+    A = _kron(D, np.eye(n))
+    A[-n:] += _kron(e[None], system.A0) + _kron(r[None], system.A1)
     return A
 
 
@@ -243,6 +250,20 @@ def build_cheb_model(system, N):
                          None)
 
 
+@lru_cache(maxsize=None)
+def _unit_tau(N):
+    """Dc and the row (-1)^k of `build_leg_model`, read-only: they depend on N alone."""
+    Dc = np.zeros((N + 1, N + 1))
+    for j in range(N):
+        Dc[j, j + 1::2] = 2 * j + 1
+    k = np.arange(N + 1, dtype=float)
+    Dc[N, :] = -k * (k + 1.0) / 2.0
+    sign = (-1.0) ** np.arange(N + 1)
+    Dc.setflags(write=False)
+    sign.setflags(write=False)
+    return Dc, sign
+
+
 def build_leg_model(system, N):
     """Tau-method closure in Legendre coefficient coordinates.
 
@@ -259,13 +280,10 @@ def build_leg_model(system, N):
     """
     N = _check_order(N)
     h = system.h
-    Dc = np.zeros((N + 1, N + 1))
-    for j in range(N):
-        Dc[j, j + 1::2] = 2 * j + 1
-    k = np.arange(N + 1, dtype=float)
-    Dc[N, :] = -k * (k + 1.0) / 2.0
+    Dc, sign = _unit_tau(N)
     e = np.ones(N + 1)
-    A = _closure(system, (2.0 / h) * Dc, e, (-1.0) ** np.arange(N + 1))
+    A = _closure(system, (2.0 / h) * Dc, e, sign)
+    k = np.arange(N + 1, dtype=float)
     den = 2.0 * k[:N] + 1.0
     M1 = np.diag(np.append(h / den, 0.0))
     off = np.append(0.5 * h * h * k[1:N] / (den[:-1] * den[1:]), 0.0)
@@ -334,7 +352,7 @@ def _to_combined(M, e, n, rows=False):
     M = np.array(M, dtype=float)
     if not np.any(e[:-1]):
         return M
-    E = np.kron(e[:-1, None], np.eye(n))   # block k is e_k I
+    E = _kron(e[:-1, None], np.eye(n))   # block k is e_k I
     if rows:
         M[:-n] -= E @ M[-n:]
     M[:, :-n] -= M[:, -n:] @ E.T

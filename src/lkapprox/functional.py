@@ -27,6 +27,7 @@ from .linalg import (
     ConvergenceError,
     DimensionError,
     _is_psd,
+    _kron,
     _lower_bound,
     is_hurwitz,
     solve_lyapunov,
@@ -45,7 +46,7 @@ __all__ = [
 _log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionalApprox:
     """A built functional: V(phi) = c' P c in the closure's coordinates c.
 
@@ -76,7 +77,7 @@ class FunctionalApprox:
         T = self.model.to_grid
         if T is None:
             return self.P
-        T_vc = np.kron(T, np.eye(self.system.n))
+        T_vc = _kron(T, np.eye(self.system.n))
         M = T_vc.T @ self.P @ T_vc
         return 0.5 * (M + M.T)
 
@@ -113,10 +114,10 @@ def build_functional(system, weights, scheme="legendre", N=20, *,
 
     model = build_model(system, scheme, N)
     e_e = np.outer(model.e, model.e)
-    sol = solve_lyapunov(model.A, np.kron(e_e, weights.combined(system.h)))
-    P = sol.P + np.kron(model.M1, weights.Q1)
+    sol = solve_lyapunov(model.A, _kron(e_e, weights.combined(system.h)))
+    P = sol.P + _kron(model.M1, weights.Q1)
     if np.any(weights.Q2):
-        P = P + np.kron(model.M2, weights.Q2)
+        P = P + _kron(model.M2, weights.Q2)
     P.setflags(write=False)
 
     max_re = float(np.max(sol.eigenvalues.real))
@@ -310,14 +311,14 @@ def _delay_margin(A0, A1):
     scale = float(np.linalg.norm(A0, 1) + np.linalg.norm(A1, 1))
     A0, A1, S = A0 / scale, A1 / scale, S / scale
     eye = np.eye(n)
-    right, left = np.kron(A1, eye), np.kron(eye, A1)
-    both = np.kron(A0, eye) + np.kron(eye, A0)
+    right, left = _kron(A1, eye), _kron(eye, A1)
+    both = _kron(A0, eye) + _kron(eye, A0)
     # (mu^2 C0 + mu C1 + C2) v = 0 with C0 = S (+) S, C1 = 2 (right - left)
     # and C2 = right + left - both, as a first-order companion.
     m = n * n
     companion = np.zeros((2 * m, 2 * m))
     companion[:m, m:] = np.eye(m)
-    companion[m:] = -np.linalg.solve(np.kron(S, eye) + np.kron(eye, S),
+    companion[m:] = -np.linalg.solve(_kron(S, eye) + _kron(eye, S),
                                      np.hstack([right + left - both, 2.0 * (right - left)]))
     if not np.all(np.isfinite(companion)):   # S too close to singular
         return np.inf

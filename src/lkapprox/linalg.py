@@ -107,6 +107,10 @@ def _bind(dgees, dtrsyl3, dpocon, dtrsv):
         fn.restype = None
     ref, c_i64, c_f64 = ctypes.byref, ctypes.c_int64, ctypes.c_double
     one = ref(c_i64(1))
+    # The workspaces of dgees and dtrsyl3 depend only on the orders, through
+    # the block sizes ILAENV picks for them, so each order is queried once.
+    gees_work = {}    # n -> LWORK
+    trsyl_work = {}   # (m, n) -> (IWORK's length, SWORK's rows, SWORK's columns)
 
     def gees(A):
         n = c_i64(A.shape[0])
@@ -120,15 +124,13 @@ def _bind(dgees, dtrsyl3, dpocon, dtrsv):
                   wr.ctypes.data, wi.ctypes.data, Z.ctypes.data, ref(n),
                   work, ref(lwork), None, ref(info), 1, 1)
 
-        call(ctypes.addressof(best))          # workspace query
-        lwork.value = int(best.value)
+        if n.value not in gees_work:
+            call(ctypes.addressof(best))      # workspace query
+            gees_work[n.value] = int(best.value)
+        lwork.value = gees_work[n.value]
         work = np.empty(lwork.value)          # referenced until the call returns
         call(work.ctypes.data)
         return T, wr, wi, Z, info.value
-
-    # dtrsyl3's workspace depends only on the orders (m, n), through the
-    # block size ILAENV picks for them, so each order pair is queried once.
-    trsyl_work = {}   # (m, n) -> (IWORK's length, SWORK's rows, SWORK's columns)
 
     def trsyl(A, B, C):
         A, B, X = (np.asfortranarray(M, dtype=np.float64) for M in (A, B, C))
@@ -277,6 +279,13 @@ def _fro(M):
         if np.isfinite(top):
             nrm = top * float(np.linalg.norm(M / top, "fro"))
     return nrm
+
+
+def _kron(a, b):
+    """np.kron(a, b) of 2-d arrays at half its call overhead: the same products,
+    so the same signed zeros, which LAPACK's Householder steps tell apart."""
+    (m, k), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, k * q)
 
 
 def _symmetrized(S, name):

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
 from .discretize import _check_dimensions
-from .linalg import ConvergenceError, _is_psd, _lower_bound, expm
+from .linalg import ConvergenceError, _is_psd, _kron, _lower_bound, expm
 from .spectral import NodeSet, cheb_nodes, gauss_legendre
 
 __all__ = [
@@ -37,7 +37,7 @@ class LyapunovConditionError(RuntimeError):
     """
 
 
-@dataclass
+@dataclass(eq=False)
 class DelayLyapunovMatrix:
     """Psi on [-h, h], realized as the pair Y(s) = Psi(s), Z(s) = Psi(s - h).
 
@@ -172,8 +172,8 @@ def build_delay_lyap(system, weights):
     # vec(Y A) = kron(A', I) vec Y, vec(A' Y) = kron(I, A') vec Y and
     # vec(Y') = Pi vec Y with the commutation permutation Pi.
     nn = n * n
-    A0x, xA0 = np.kron(A0.T, eye), np.kron(eye, A0.T)
-    A1x, xA1 = np.kron(A1.T, eye), np.kron(eye, A1.T)
+    A0x, xA0 = _kron(A0.T, eye), _kron(eye, A0.T)
+    A1x, xA1 = _kron(A1.T, eye), _kron(eye, A1.T)
     M = np.block([[A0x, A1x], [-xA1, -xA0]])
     E = expm(M * h)
     Pi = np.arange(nn).reshape(n, n).T.reshape(-1)

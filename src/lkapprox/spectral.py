@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeSet:
     """A quadrature grid on [-h, 0]: ascending nodes and weights summing to h."""
 

@@ -2,7 +2,8 @@
 
 Everything here is an independent route to a quantity the library also
 computes: Newton-refined characteristic roots, a Kronecker-vectorization
-Lyapunov solve, the relative residual of a Lyapunov solution, the direct
+Lyapunov solve, the relative residual of a Lyapunov solution, np.kron
+assemblies of the closure, the cost and P of a build, the direct
 (unsplit) cost of the tau closure, the tau k1 of a closure in extended
 precision, the
 kernels of V as scalar closures over Psi and the block-by-block loop
@@ -23,7 +24,7 @@ from numpy.polynomial.legendre import legvander
 
 from lkapprox import RfdeSystem
 from lkapprox.linalg import expm, schur_complement, solve_lyapunov
-from lkapprox.spectral import NodeSet, cheb_nodes, gauss_legendre
+from lkapprox.spectral import NodeSet, cheb_diffmat, cheb_nodes, gauss_legendre
 
 
 def newton_char_root(seed, A0, A1, h, iters=80):
@@ -94,6 +95,47 @@ def legendre_cost(weights, N, h):
         diag = np.append(h / (2.0 * np.arange(N) + 1.0), h)
         Q += np.kron(np.diag(diag), weights.Q2)
     return Q
+
+
+def kron_closure(system, scheme, N):
+    """Reference for the closure matrix of `build_model`, assembled with
+    np.kron from its own tables: kron(D, I) plus kron(e, A0) + kron(r, A1)
+    in the last block row, with the collocation D (last row zeroed),
+    e = e_N, r = e_0, or the tau D = (2/h) Dc, e = 1, r = (-1)^k."""
+    h = system.h
+    if scheme == "cheb":
+        D = cheb_diffmat(N, h)
+        D[N] = 0.0
+        eye = np.eye(N + 1)
+        e, r = eye[N], eye[0]
+    else:
+        D = np.zeros((N + 1, N + 1))
+        for j in range(N):
+            for k in range(j + 1, N + 1, 2):
+                D[j, k] = (2.0 / h) * (2 * j + 1)
+        k = np.arange(N + 1, dtype=float)
+        D[N] = (2.0 / h) * (-k * (k + 1.0) / 2.0)
+        e, r = np.ones(N + 1), (-1.0) ** np.arange(N + 1)
+    n = system.n
+    A = np.kron(D, np.eye(n))
+    A[-n:] += np.kron(e, system.A0) + np.kron(r, system.A1)
+    return A
+
+
+def kron_cost(model, weights):
+    """Reference for the lumped cost of `build_functional`:
+    np.kron(e e', Q0 + Q1 + h Q2)."""
+    return np.kron(np.outer(model.e, model.e), weights.combined(model.system.h))
+
+
+def kron_functional_matrix(model, weights):
+    """Reference for P of `build_functional` on `model`: the Lyapunov
+    solution for `kron_cost` plus the mass terms kron(M1, Q1) and, where Q2
+    is nonzero, kron(M2, Q2)."""
+    P = solve_lyapunov(model.A, kron_cost(model, weights)).P + np.kron(model.M1, weights.Q1)
+    if np.any(weights.Q2):
+        P = P + np.kron(model.M2, weights.Q2)
+    return P
 
 
 def longdouble_tau_k1(A, Q, n):

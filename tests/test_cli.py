@@ -20,6 +20,7 @@ import pytest
 import lkapprox
 from lkapprox import cli
 from lkapprox.cli import main
+from lkapprox.discretize import _unit_tau
 from lkapprox.oracle import build_delay_lyap, k1_quad
 
 
@@ -341,6 +342,43 @@ def test_sweep_N_axis_builds_each_order_once(capsys):
                     "--axis", "N", "--range", "1:3", "--steps", "5")
     assert code == cli.EXIT_OK
     assert [r[0] for r in parse_csv(out)[1]] == ["1", "2", "3"]
+
+
+def test_sweep_reuses_order_tables_and_completeness(capsys, monkeypatch):
+    # A sweep point pays for its solves, not for tables that depend on the
+    # order or the weights alone: no np.kron (the assemblies broadcast),
+    # one tau table per order, and one completeness test for the run's
+    # weights.  Q2 enters an eigensolve only through that test.
+    counts = {"kron": 0, "Q2": 0}
+    loaded = []
+    load, kron, eigvalsh = cli._load_config, np.kron, np.linalg.eigvalsh
+
+    def counting_kron(*args):
+        counts["kron"] += 1
+        return kron(*args)
+
+    def counting_eigvalsh(M, *args, **kwargs):
+        counts["Q2"] += any(M is cfg.weights.Q2 for cfg in loaded)
+        return eigvalsh(M, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_load_config",
+                        lambda name: loaded.append(load(name)) or loaded[-1])
+    monkeypatch.setattr(np, "kron", counting_kron)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    _unit_tau.cache_clear()
+    code, out = run(capsys, "sweep", "--config", "example2", "--axis", "h",
+                    "--range", "0.5:8", "--steps", "12")
+    assert code == cli.EXIT_OK and len(parse_csv(out)[1]) == 12
+    assert counts == {"kron": 0, "Q2": 1}
+    assert _unit_tau.cache_info().misses == 1
+
+    code, out = run(capsys, "sweep", "--config", "example2", "--axis", "N",
+                    "--range", "4:20", "--steps", "5")
+    assert code == cli.EXIT_OK
+    assert [r[0] for r in parse_csv(out)[1]] == ["4", "8", "12", "16", "20"]
+    # Order 20 was built by the h sweep; each other order once.
+    assert _unit_tau.cache_info().misses == 5
+    assert counts == {"kron": 0, "Q2": 2}
 
 
 def test_sweep_starts_no_threads(capsys, monkeypatch):

@@ -17,6 +17,9 @@ import lkapprox.discretize
 import lkapprox.functional
 import lkapprox.linalg
 from helpers import (
+    kron_closure,
+    kron_cost,
+    kron_functional_matrix,
     legendre_cost,
     longdouble_tau_k1,
     quad_V,
@@ -50,6 +53,24 @@ def _delay_free_fa(scheme, N=8):
     sys_ = RfdeSystem([[-1.0]], [[0.0]], 1.3)
     w = CostWeights([[1.0]], [[0.0]], [[0.0]])
     return build_functional(sys_, w, scheme, N, allow_incomplete=True)
+
+
+def test_records_compare_and_hash_by_identity(ex2_system):
+    # Records hold arrays, whose == is elementwise and which do not hash, so
+    # a record compares and hashes by identity: equal twins built apart
+    # compare unequal, without raising.
+    def records():
+        system = RfdeSystem(ex2_system.A0, ex2_system.A1, 2.0)
+        weights = CostWeights(np.eye(2), np.eye(2), np.zeros((2, 2)))
+        fa = build_functional(system, weights, "legendre", 4)
+        return [system, weights, fa.model, fa, cheb_nodes(4, 2.0),
+                build_delay_lyap(system, weights)]
+
+    for record, twin in zip(records(), records()):
+        assert record == record and not record != record
+        assert (record == twin) is False and record != twin
+        assert hash(record) == hash(record)
+        assert len({record, twin, record}) == 2
 
 
 def test_build_rejects_incomplete_weights_without_waiver():
@@ -852,6 +873,43 @@ def test_build_factors_closure_once(monkeypatch, ex2_system, ex2_weights, scheme
     fa = build_functional(ex2_system, ex2_weights, scheme, 20)
     assert counts == {"schur": 1, "sylvester": 1, "eigvals": 0}
     assert fa.hurwitz and fa.max_re < 0.0
+
+
+def _same_bits(X, Y):
+    """Equal entries and equal sign bits, so -0.0 and +0.0 differ."""
+    return (X.shape == Y.shape and np.array_equal(X, Y)
+            and np.array_equal(np.signbit(X), np.signbit(Y)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 20])
+@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("scheme", ["cheb", "legendre"])
+def test_assembly_matches_kron_reference_bit_for_bit(monkeypatch, scheme, n, N):
+    # The closure, the cost and P are the np.kron assemblies to the bit,
+    # signed zeros included: LAPACK's Householder steps take the sign of a
+    # zero, so a +0.0 where kron gives -0.0 can move the Schur factor and P.
+    rng = np.random.default_rng(100 * n + N)
+    system = random_stable_rfde(rng, n)
+    # Negative off-diagonals in Q1 and Q2 (which is 0 at n = 1).
+    off = np.ones((n, n)) - np.eye(n)
+    weights = CostWeights(np.eye(n), np.eye(n) - 0.5 * off / n,
+                          0.1 * ((n - 1) * np.eye(n) - off) / n)
+    model = build_model(system, scheme, N)
+    A, cost = kron_closure(system, scheme, N), kron_cost(model, weights)
+    if scheme == "cheb" and n > 1:
+        # kron(D, I) and kron(e_N e_N', W) hold -0.0 beside the negative
+        # entries of D and W, so the sign-bit comparison below can fail.
+        for M in (A, cost):
+            assert np.any((M == 0.0) & np.signbit(M))
+    assert _same_bits(model.A, A)
+
+    costs = []
+    real = lkapprox.functional.solve_lyapunov
+    monkeypatch.setattr(lkapprox.functional, "solve_lyapunov",
+                        lambda A, Q: costs.append(Q) or real(A, Q))
+    fa = build_functional(system, weights, scheme, N)
+    assert len(costs) == 1 and _same_bits(costs[0], cost)
+    assert _same_bits(fa.P, kron_functional_matrix(model, weights))
 
 
 @pytest.mark.parametrize("q2", [0.0, 0.5])
