@@ -5,11 +5,13 @@ generalized Schur complement used for quadratic lower bounds.  All inputs
 are real; eigenvalues may come back complex.
 
 The four LAPACK and BLAS routines that NumPy's API lacks (dgees, dtrsyl3,
-dpocon and dtrsv) are called through ctypes from the OpenBLAS that NumPy
-already loads; its wheels export them as `scipy_<name>_64_` with 64-bit
-integers.  Where no loaded library exports them, they are taken from
-`scipy.linalg.lapack` and `scipy.linalg.blas` instead, with dtrsyl in place
-of dtrsyl3, which SciPy does not wrap.
+dpocon and dtrsv), and dgeev, are called through ctypes from the OpenBLAS
+that NumPy already loads; its wheels export them as `scipy_<name>_64_` with
+64-bit integers.  A ctypes call releases the GIL, so two Python threads run
+two of them at once, which NumPy 2.4's own eigen-routines do not.  Where no
+loaded library exports them, they are taken from `scipy.linalg.lapack` and
+`scipy.linalg.blas` instead, with dtrsyl in place of dtrsyl3, which SciPy
+does not wrap, and `np.linalg.eigvals` in place of dgeev.
 """
 
 from __future__ import annotations
@@ -76,24 +78,35 @@ class _Routines(NamedTuple):
                       # upper quasi-triangular; C may be overwritten
     pocon: Callable   # pocon(R, anorm) -> reciprocal 1-norm condition of R^T R
     trsv: Callable    # trsv(R, B) -> G with R^T G = B, one dtrsv per column of B
+    geev: Callable    # geev(A) -> (wr, wi, info): the eigenvalues wr + i wi of A
+
+
+def _numpy_geev(A):
+    """`geev` by `np.linalg.eigvals`, which calls dgeev but holds the GIL."""
+    try:
+        lam = np.linalg.eigvals(A)
+    except np.linalg.LinAlgError:
+        return None, None, 1
+    return lam.real, lam.imag, 0
 
 
 def _probe(lib):
     """The routines bound to the ctypes library `lib`, or None unless it
-    exports all four with ILP64 names (`scipy_<name>_64_`, `<name>_64_`)."""
+    exports all five with ILP64 names (`scipy_<name>_64_`, `<name>_64_`)."""
     for pattern in ("scipy_{}_64_", "{}_64_"):
         fns = [getattr(lib, pattern.format(name), None)
-               for name in ("dgees", "dtrsyl3", "dpocon", "dtrsv")]
+               for name in ("dgees", "dtrsyl3", "dpocon", "dtrsv", "dgeev")]
         if all(fns):
             return _bind(*fns)
     return None
 
 
-def _bind(dgees, dtrsyl3, dpocon, dtrsv):
+def _bind(dgees, dtrsyl3, dpocon, dtrsv, dgeev=None):
     """Wrap the Fortran symbols in the `_Routines` calling convention.
 
     Arrays pass as addresses, integers as 64-bit references, and each
-    character argument carries gfortran's trailing hidden length.
+    character argument carries gfortran's trailing hidden length.  With no
+    dgeev, `geev` is `_numpy_geev`.
     """
     ptr, size = ctypes.c_void_p, ctypes.c_size_t
     i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
@@ -105,32 +118,58 @@ def _bind(dgees, dtrsyl3, dpocon, dtrsv):
     dtrsv.argtypes = [ctypes.c_char_p] * 3 + [i64, ptr, i64, ptr, i64, size, size, size]
     for fn in (dgees, dtrsyl3, dpocon, dtrsv):
         fn.restype = None
+    if dgeev is not None:
+        dgeev.argtypes = [ctypes.c_char_p] * 2 + [i64, ptr, i64, ptr, ptr, ptr, i64,
+                                                  ptr, i64, ptr, i64, i64, size, size]
+        dgeev.restype = None
     ref, c_i64, c_f64 = ctypes.byref, ctypes.c_int64, ctypes.c_double
     one = ref(c_i64(1))
-    # The workspaces of dgees and dtrsyl3 depend only on the orders, through
-    # the block sizes ILAENV picks for them, so each order is queried once.
-    gees_work = {}    # n -> LWORK
+    # The workspaces of dgees, dgeev and dtrsyl3 depend only on the orders,
+    # through the block sizes ILAENV picks for them, so each order is queried
+    # once.
+    gees_work, geev_work = {}, {}   # n -> LWORK
     trsyl_work = {}   # (m, n) -> (IWORK's length, SWORK's rows, SWORK's columns)
+
+    def with_workspace(cache, n, lwork, call):
+        """call(WORK's address) with LWORK set to the optimal size at order n."""
+        if n not in cache:
+            best = c_f64()
+            lwork.value = -1
+            call(ctypes.addressof(best))      # workspace query
+            cache[n] = int(best.value)
+        lwork.value = cache[n]
+        work = np.empty(lwork.value)          # referenced until the call returns
+        call(work.ctypes.data)
 
     def gees(A):
         n = c_i64(A.shape[0])
         T = np.array(A, dtype=np.float64, order="F")
         wr, wi = np.empty(A.shape[0]), np.empty(A.shape[0])
         Z = np.empty_like(T)
-        sdim, info, lwork, best = c_i64(), c_i64(), c_i64(-1), c_f64()
+        sdim, info, lwork = c_i64(), c_i64(), c_i64()
 
         def call(work):
             dgees(b"V", b"N", None, ref(n), T.ctypes.data, ref(n), ref(sdim),
                   wr.ctypes.data, wi.ctypes.data, Z.ctypes.data, ref(n),
                   work, ref(lwork), None, ref(info), 1, 1)
 
-        if n.value not in gees_work:
-            call(ctypes.addressof(best))      # workspace query
-            gees_work[n.value] = int(best.value)
-        lwork.value = gees_work[n.value]
-        work = np.empty(lwork.value)          # referenced until the call returns
-        call(work.ctypes.data)
+        with_workspace(gees_work, n.value, lwork, call)
         return T, wr, wi, Z, info.value
+
+    def geev(A):
+        # np.linalg.eigvals makes this call: A in Fortran order, no
+        # eigenvectors, the queried workspace.
+        n = c_i64(A.shape[0])
+        H = np.array(A, dtype=np.float64, order="F")
+        wr, wi = np.empty(A.shape[0]), np.empty(A.shape[0])
+        info, lwork = c_i64(), c_i64()
+
+        def call(work):
+            dgeev(b"N", b"N", ref(n), H.ctypes.data, ref(n), wr.ctypes.data,
+                  wi.ctypes.data, None, one, None, one, work, ref(lwork), ref(info), 1, 1)
+
+        with_workspace(geev_work, n.value, lwork, call)
+        return wr, wi, info.value
 
     def trsyl(A, B, C):
         A, B, X = (np.asfortranarray(M, dtype=np.float64) for M in (A, B, C))
@@ -170,7 +209,7 @@ def _bind(dgees, dtrsyl3, dpocon, dtrsv):
                   1, 1, 1)
         return G
 
-    return _Routines(gees, trsyl, pocon, trsv)
+    return _Routines(gees, trsyl, pocon, trsv, geev if dgeev is not None else _numpy_geev)
 
 
 def _scipy_routines():
@@ -198,7 +237,7 @@ def _scipy_routines():
     def trsv(R, B):
         return np.column_stack([blas.dtrsv(R, b, trans=1) for b in B.T])
 
-    return _Routines(gees, trsyl, pocon, trsv)
+    return _Routines(gees, trsyl, pocon, trsv, _numpy_geev)
 
 
 def _bind_lapack():
@@ -213,7 +252,7 @@ def _bind_lapack():
     return "scipy", _scipy_routines()
 
 
-_LAPACK_SOURCE, (_gees, _trsyl, _pocon, _trsv) = _bind_lapack()
+_LAPACK_SOURCE, (_gees, _trsyl, _pocon, _trsv, _geev) = _bind_lapack()
 
 
 class DimensionError(ValueError):
@@ -288,20 +327,34 @@ def _kron(a, b):
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, k * q)
 
 
-def _symmetrized(S, name):
-    """(S + S^T) / 2, after checking ||S - S^T||_F <= 1e-10 max(1, ||S||_F)."""
-    if _fro(S - S.T) > 1e-10 * max(1.0, _fro(S)):
+def _symmetric_norm(S, name):
+    """||S||_F, after checking ||S - S^T||_F <= 1e-10 max(1, ||S||_F)."""
+    nrm = _fro(S)
+    if _fro(S - S.T) > 1e-10 * max(1.0, nrm):
         raise ValueError(f"{name} is not symmetric to working tolerance")
+    return nrm
+
+
+def _symmetrized(S, name):
+    """(S + S^T) / 2, after `_symmetric_norm`'s check."""
+    _symmetric_norm(S, name)
     return 0.5 * (S + S.T)
 
 
 def eigenvalues(A):
-    """Eigenvalues of a real square matrix (QR algorithm, unordered), complex-typed."""
+    """Eigenvalues of a real square matrix (LAPACK dgeev, unordered), complex-typed.
+
+    The bits of `np.linalg.eigvals(A)`, from the same call, without holding
+    the GIL.
+    """
     A = _as_square(A)
-    try:
-        return np.linalg.eigvals(A).astype(complex, copy=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
+    wr, wi, info = _geev(A)
+    if info != 0:
+        raise ConvergenceError(f"eigenvalue iteration did not converge (info={info})")
+    lam = wr.astype(complex)
+    if wi.any():   # else +0.0 parts, as np.linalg.eigvals gives a real spectrum
+        lam.imag = wi
+    return lam
 
 
 def is_hurwitz(A):
@@ -353,7 +406,7 @@ def solve_lyapunov(A, Q):
     Q = _as_square(Q, "Q")
     if Q.shape != A.shape:
         raise DimensionError(f"A and Q dimensions differ: {A.shape} vs {Q.shape}")
-    _symmetrized(Q, "Q")   # checked only: the solve and its gate use Q as given
+    q_norm = _symmetric_norm(Q, "Q")   # the solve and its gate use Q as given
 
     # P A + A^T P = -Q  is  (A^T) P + P (A^T)^T = -Q.
     T, wr, wi, Z, info = _gees(A.T)
@@ -382,7 +435,7 @@ def solve_lyapunov(A, Q):
     P = 0.5 * (P + P.T)
 
     residual = _fro(P @ A + A.T @ P + Q)
-    scale = max(1.0, _fro(Q) + 2.0 * _fro(A) * _fro(P))
+    scale = max(1.0, q_norm + 2.0 * _fro(A) * _fro(P))
     if not residual <= 1e-9 * scale:   # a NaN residual fails too
         raise NumericalFailureError(
             f"Lyapunov residual {residual:.3e} exceeds 1e-9 * {scale:.3e}",

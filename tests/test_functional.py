@@ -2,6 +2,9 @@ import dataclasses
 import itertools
 import logging
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -610,6 +613,158 @@ def test_critical_delay_checks_each_bracket_end_it_reaches(monkeypatch, ex2_syst
     assert abs(h - ex2_h_crit) <= 5e-5
 
 
+def _critical_delay_outcomes(monkeypatch, caplog, ex2_system):
+    """(h_critical or the ValueError's message, DEBUG evaluation count) for
+    window and whole-bracket searches and each bad bracket of
+    `test_critical_delay_checks_each_bracket_end_it_reaches`."""
+    runs = [(ex2_system, scheme, N, (1.0, 10.0), None)
+            for scheme in ("legendre", "cheb") for N in (4, 10, 20)]
+    runs += [(ex2_system, "legendre", 10, (1.0, 10.0), np.inf),   # whole bracket
+             (ex2_system, "legendre", 10, (6.5, 10.0), None),
+             (ex2_system, "legendre", 10, (1.0, 6.0), None),
+             (RfdeSystem([[0.5]], [[-0.2]], 1.0), "legendre", 10, (1.0, 10.0), None),
+             (ex2_system, "legendre", 10, (6.5, 10.0), 8.0),
+             (ex2_system, "legendre", 10, (1.0, 6.0), 3.0)]
+    margin = lkapprox.functional._delay_margin
+    out = []
+    for system, scheme, N, bracket, h_e in runs:
+        with monkeypatch.context() as m:
+            if h_e is not None:
+                m.setattr(lkapprox.functional, "_delay_margin", lambda A0, A1: h_e)
+            caplog.clear()
+            try:
+                with caplog.at_level(logging.DEBUG, logger="lkapprox"):
+                    got = critical_delay(system, scheme, N=N, bracket=bracket, tol=1e-4)
+            except ValueError as exc:
+                got = str(exc)
+            counts = [r.args[0] for r in caplog.records]
+        out.append((got, counts))
+    assert lkapprox.functional._delay_margin is margin
+    return out
+
+
+def _record_threads(monkeypatch):
+    """{thread name: is_hurwitz calls}, filled as `critical_delay` runs."""
+    threads = {}
+    is_hurwitz = lkapprox.functional.is_hurwitz
+
+    def recorded(A):
+        name = threading.current_thread().name
+        threads[name] = threads.get(name, 0) + 1
+        return is_hurwitz(A)
+
+    monkeypatch.setattr(lkapprox.functional, "is_hurwitz", recorded)
+    return threads
+
+
+def test_critical_delay_is_the_same_on_one_and_two_cpus(monkeypatch, caplog, ex2_system):
+    # The two ends of a window or bracket run on two threads only where the
+    # process may use two CPUs (here at every order); the result, the
+    # evaluation count and the bracket error the caller sees are the same
+    # either way.
+    monkeypatch.setattr(lkapprox.functional, "_OVERLAP_ORDER", 1)
+    threads = _record_threads(monkeypatch)
+    outcomes = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(lkapprox.functional, "_cpu_count", lambda: cpus)
+        threads.clear()
+        outcomes[cpus] = _critical_delay_outcomes(monkeypatch, caplog, ex2_system)
+        assert (len(threads) == 2) == (cpus == 2), threads
+    assert outcomes[1] == outcomes[2]
+    errors = [got for got, _ in outcomes[1] if isinstance(got, str)]
+    assert len(errors) == 5 and all("bracket" in e for e in errors), errors
+    assert all(len(counts) == 1 for got, counts in outcomes[1] if not isinstance(got, str))
+
+
+def test_both_finishes_both_calls_and_raises_the_first_error(monkeypatch):
+    finished = []
+
+    def failing(x):
+        if x == "upper":
+            time.sleep(0.05)   # still running when the lower call raises
+        finished.append(x)
+        raise KeyError(x)
+
+    for cpus, calls in ((1, ["lower"]), (2, ["lower", "upper"])):
+        monkeypatch.setattr(lkapprox.functional, "_cpu_count", lambda: cpus)
+        finished.clear()
+        with pytest.raises(KeyError, match="lower"):
+            lkapprox.functional._both(failing, "lower", "upper", True)
+        assert finished == calls
+    assert lkapprox.functional._both(str.upper, "a", "b", True) == ("A", "B")
+
+
+def test_both_serves_many_callers_from_one_worker(monkeypatch):
+    # Six threads, more than the cores, share the worker from a cold start
+    # with a short switch interval: one worker starts, and every caller gets
+    # its own pair of results back.
+    lf = lkapprox.functional
+    monkeypatch.setattr(lf, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(lf, "_worker", None)
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    results = {}
+
+    def caller(k):
+        results[k] = [lf._both(str, (k, i, "x"), (k, i, "y"), True) for i in range(200)]
+
+    callers = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert len(started) == len(callers) + 1
+    for k in range(6):
+        assert results[k] == [(str((k, i, "x")), str((k, i, "y"))) for i in range(200)]
+
+
+def test_critical_delay_raises_the_lower_bracket_error_first(monkeypatch, ex2_system):
+    # Both ends of the bracket wrong, unstable below and stable above: the
+    # lower end's error, as when the ends were evaluated one after the other.
+    lower = build_model(dataclasses.replace(ex2_system, h=1.0), "legendre", 10).A
+    monkeypatch.setattr(lkapprox.functional, "is_hurwitz",
+                        lambda A: (False, 1.0) if np.array_equal(A, lower) else (True, -1.0))
+    monkeypatch.setattr(lkapprox.functional, "_delay_margin", lambda A0, A1: np.inf)
+    monkeypatch.setattr(lkapprox.functional, "_OVERLAP_ORDER", 1)
+    for cpus in (1, 2):
+        monkeypatch.setattr(lkapprox.functional, "_cpu_count", lambda: cpus)
+        with pytest.raises(ValueError, match="lower bracket"):
+            critical_delay(ex2_system, "legendre", N=10, bracket=(1.0, 10.0), tol=1e-4)
+
+
+def test_critical_delay_repeats_on_two_threads(monkeypatch, ex2_system):
+    # Example 2 at N = 20 takes the window path, whose two eigen-solves run
+    # at once (here below the order they would): 50 calls in one process
+    # give one result.
+    monkeypatch.setattr(lkapprox.functional, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(lkapprox.functional, "_OVERLAP_ORDER", 1)
+    results = {critical_delay(ex2_system, "legendre", N=20) for _ in range(50)}
+    assert len(results) == 1
+
+
+@pytest.mark.parametrize("N, threads_used", [(20, 1), (31, 2), (40, 2)])
+def test_critical_delay_overlaps_from_closure_order_64(monkeypatch, ex2_system, N,
+                                                       threads_used):
+    # Example 2 has n = 2: at N = 20 (d = 42) waking the worker costs what
+    # the overlap saves, from N = 31 (d = 64) on the window's ends overlap.
+    monkeypatch.setattr(lkapprox.functional, "_cpu_count", lambda: 2)
+    threads = _record_threads(monkeypatch)
+    critical_delay(ex2_system, "legendre", N=N)
+    assert len(threads) == threads_used and sum(threads.values()) == 2, threads
+
+
 def _step(x):
     return -1.0 if x < np.pi else 1.0
 
@@ -865,10 +1020,12 @@ def test_build_factors_closure_once(monkeypatch, ex2_system, ex2_weights, scheme
     # its Hurwitz verdict from that factor: no eigenvalue call of its own.
     # `linalg._gees` is the one real Schur factorization (dgees, its
     # workspace query included), `linalg._trsyl` the one triangular solve
-    # (dtrsyl3, likewise); `eigenvalues` calls np.linalg.eigvals.
+    # (dtrsyl3, likewise); `eigenvalues` calls `linalg._geev` (dgeev), and
+    # np.linalg.eigvals is counted as well, where another path would call it.
     counts = {"schur": 0, "sylvester": 0, "eigvals": 0}
     _count_calls(monkeypatch, counts, "schur", lkapprox.linalg, "_gees")
     _count_calls(monkeypatch, counts, "sylvester", lkapprox.linalg, "_trsyl")
+    _count_calls(monkeypatch, counts, "eigvals", lkapprox.linalg, "_geev")
     _count_calls(monkeypatch, counts, "eigvals", np.linalg, "eigvals")
     fa = build_functional(ex2_system, ex2_weights, scheme, 20)
     assert counts == {"schur": 1, "sylvester": 1, "eigvals": 0}

@@ -22,7 +22,7 @@ from helpers import (
     use_scipy_lapack,
 )
 from lkapprox import CostWeights, RfdeSystem, build_functional, k1
-from lkapprox.discretize import build_cheb_model, build_leg_model
+from lkapprox.discretize import build_cheb_model, build_leg_model, build_model
 from lkapprox.linalg import (
     DimensionError,
     NumericalFailureError,
@@ -447,12 +447,14 @@ def test_scipy_fallback_agrees_with_bound_lapack(monkeypatch):
 
 def test_lapack_probe():
     # A library without the ILP64 symbols (libc) is not bound; where the probe
-    # found NumPy's OpenBLAS, binding it again gives the four routines.
+    # found NumPy's OpenBLAS, binding it again gives the five routines, dgeev
+    # bound through ctypes rather than taken from NumPy.
     assert lkapprox.linalg._probe(ctypes.CDLL(ctypes.util.find_library("c"))) is None
     source = lkapprox.linalg._LAPACK_SOURCE
     if source != "scipy":
         routines = lkapprox.linalg._probe(ctypes.CDLL(source))
-        assert routines is not None and len(routines) == 4
+        assert routines is not None and len(routines) == 5
+        assert routines.geev is not lkapprox.linalg._numpy_geev
 
 
 @pytest.mark.skipif(lkapprox.linalg._LAPACK_SOURCE == "scipy",
@@ -505,6 +507,67 @@ def test_failed_probe_binds_scipy(monkeypatch):
     assert source == "scipy"
     T, wr, wi, Z, info = routines.gees(np.array([[1.0, 2.0], [0.0, 3.0]]))
     assert info == 0 and sorted(wr) == [1.0, 3.0] and not wi.any()
+
+
+def _same_parts(got, ref):
+    """Equal real and imaginary parts, sign bits included."""
+    return all(np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+               for x, y in ((got.real, ref.real), (got.imag, ref.imag)))
+
+
+def _eigen_cases():
+    """Both closures at n in {1, 2, 6} x N in {1, 4, 20, 40}, a random matrix
+    with real and complex eigenvalues, a triangular one whose spectrum is
+    real, and two with -0.0 real parts, one of them in complex pairs."""
+    local = np.random.default_rng(41)
+    for n in (1, 2, 6):
+        system = random_stable_rfde(local, n)
+        for N in (1, 4, 20, 40):
+            for scheme in ("cheb", "legendre"):
+                yield build_model(system, scheme, N).A
+    yield local.standard_normal((9, 9))
+    yield np.triu(local.standard_normal((7, 7)))
+    yield np.array([[-0.0, 1.0], [0.0, -1.0]])
+    yield np.array([[-0.0, 1.0, 0.0], [-1.0, -0.0, 0.0], [0.0, 0.0, -0.0]])
+
+
+def test_eigenvalues_are_numpys_bit_for_bit():
+    # `eigenvalues` calls dgeev as np.linalg.eigvals does, so it returns the
+    # same values with the same signed zeros, and +0.0 imaginary parts for a
+    # real spectrum, where NumPy returns a real array.
+    spectra = 0
+    for A in _eigen_cases():
+        got, ref = eigenvalues(A), np.linalg.eigvals(A).astype(complex)
+        assert got.dtype == complex and _same_parts(got, ref)
+        spectra |= 1 << int(np.all(ref.imag == 0.0))
+    assert spectra == 3   # complex and real spectra both ran
+
+
+def test_scipy_fallback_eigenvalues_match_bound_dgeev(monkeypatch):
+    cases = list(_eigen_cases())
+    bound = [eigenvalues(A) for A in cases]
+    use_scipy_lapack(monkeypatch)
+    assert lkapprox.linalg._geev is lkapprox.linalg._numpy_geev
+    for A, ref in zip(cases, bound):
+        assert _same_parts(eigenvalues(A), ref)
+
+
+def test_eigenvalues_raise_on_failed_iteration(monkeypatch):
+    # A nonzero info from dgeev, or NumPy's LinAlgError in the fallback, is
+    # a ConvergenceError.
+    A = np.array([[1.0, 2.0], [0.0, 3.0]])
+    monkeypatch.setattr(lkapprox.linalg, "_geev",
+                        lambda A: (np.zeros(len(A)), np.zeros(len(A)), 2))
+    with pytest.raises(lkapprox.linalg.ConvergenceError, match="info=2"):
+        eigenvalues(A)
+
+    def diverging(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", diverging)
+    monkeypatch.setattr(lkapprox.linalg, "_geev", lkapprox.linalg._numpy_geev)
+    with pytest.raises(lkapprox.linalg.ConvergenceError, match="info=1"):
+        eigenvalues(A)
 
 
 def test_expm_pade13_per_matrix_scaling_against_mpmath():
