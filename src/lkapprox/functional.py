@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +26,7 @@ from .discretize import (
 from .linalg import (
     ConvergenceError,
     DimensionError,
+    _certify_unstable,
     _is_psd,
     _kron,
     _lower_bound,
@@ -46,14 +45,6 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
-
-_worker = None   # (thread, job queue) of the thread `_both` hands work to
-_worker_lock = threading.Lock()
-# Closure order from which `critical_delay` runs two eigen-solves at once.
-# Below it, waking the idle worker costs what the overlap saves: after an
-# `lk sweep`, two solves at d = 42 took 1.01 ms at once against 0.93 ms in
-# turn (medians of 8); at d = 78-126 they took 0.54-0.73 of the time.
-_OVERLAP_ORDER = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,10 +288,11 @@ def _check_bracket(bracket, tol):
 
 
 def _delay_margin(A0, A1):
-    """Smallest delay h > 0 at which x' = A0 x + A1 x(t - h) has a root i omega.
+    """(h, omega): the smallest delay h > 0 at which x' = A0 x + A1 x(t - h)
+    has a root i omega, omega > 0, and that omega.
 
-    inf when A0 + A1 is not Hurwitz or no root reaches the imaginary axis
-    at any delay.  A root i omega at delay h is an eigenvalue of A0 + z A1,
+    (inf, None) when A0 + A1 is not Hurwitz or no root reaches the imaginary
+    axis at any delay.  A root i omega at delay h is an eigenvalue of A0 + z A1,
     z = exp(-i omega h), whose conjugate -i omega is one of A0 + A1 / z, so
     the quadratic z^2 (A1 x I) + z (A0 x I + I x A0) + I x A1 in Kronecker
     products is singular there, with |z| = 1 (Chen, Gu & Nett, Syst. Control
@@ -312,12 +304,12 @@ def _delay_margin(A0, A1):
     z = -1), and each imaginary eigenvalue i omega, omega > 0, of A0 + z A1
     a crossing at h = (-arg z mod 2 pi) / omega.  A1 may be singular.  The
     pencil is solved for A0 and A1 divided by ||A0||_1 + ||A1||_1, which
-    multiplies h by that scale.
+    multiplies h by that scale and divides omega by it.
     """
     n = A0.shape[0]
     S = A0 + A1
     if not np.max(np.linalg.eigvals(S).real) < 0.0:
-        return np.inf
+        return np.inf, None
     scale = float(np.linalg.norm(A0, 1) + np.linalg.norm(A1, 1))
     A0, A1, S = A0 / scale, A1 / scale, S / scale
     eye = np.eye(n)
@@ -331,7 +323,7 @@ def _delay_margin(A0, A1):
     companion[m:] = -np.linalg.solve(_kron(S, eye) + _kron(eye, S),
                                      np.hstack([right + left - both, 2.0 * (right - left)]))
     if not np.all(np.isfinite(companion)):   # S too close to singular
-        return np.inf
+        return np.inf, None
     mu = np.linalg.eigvals(companion)
     mu = mu[np.abs(mu.real) <= 1e-6 * (1.0 + np.abs(mu))]
     z = (mu + 1.0) / (mu - 1.0)
@@ -340,78 +332,35 @@ def _delay_margin(A0, A1):
     crossing = (np.abs(lam.real) <= 1e-6) & (lam.imag > 0.0)
     h = np.divide(np.mod(-np.angle(z), 2.0 * np.pi)[:, None], lam.imag,
                   out=np.full(lam.shape, np.inf), where=crossing)
-    return float(h.min(initial=np.inf)) / scale
-
-
-def _cpu_count():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _serve(jobs):
-    while True:
-        f, x, reply = jobs.get()
-        try:
-            reply.put((f(x), None))
-        except BaseException as exc:   # raised on the caller's thread
-            reply.put((None, exc))
-
-
-def _both(f, x, y, at_once):
-    """(f(x), f(y)), f(y) on a worker thread while f(x) runs here where
-    `at_once` and the process may use two CPUs, else one after the other.
-
-    Both calls finish before an error of either propagates, f(x)'s first.
-    Only calls that release the GIL, as `linalg`'s ctypes LAPACK calls do,
-    overlap.  The worker starts on first use and is kept: a job costs
-    ~30 us, a new thread ~110 us.
-    """
-    global _worker
-    if not at_once or _cpu_count() < 2:
-        return f(x), f(y)
-    import queue
-
-    with _worker_lock:
-        if _worker is None or not _worker[0].is_alive():   # not yet, or lost in a fork
-            jobs = queue.SimpleQueue()
-            _worker = threading.Thread(target=_serve, args=(jobs,), daemon=True), jobs
-            _worker[0].start()
-        jobs = _worker[1]
-    reply = queue.SimpleQueue()
-    jobs.put((f, y, reply))
-    try:
-        fx = f(x)
-    finally:
-        fy, error = reply.get()
-    if error is not None:
-        raise error
-    return fx, fy
-
-
-def _max_re(A):
-    return is_hurwitz(A)[1]
+    if not np.any(h < np.inf):
+        return np.inf, None
+    k = np.unravel_index(np.argmin(h), h.shape)
+    return float(h[k]) / scale, float(lam[k].imag) * scale
 
 
 def critical_delay(system, scheme="legendre", N=20, bracket=(1.0, 10.0), tol=1e-4):
     """Delay at which the closure's spectral abscissa crosses zero.
 
-    The search starts from the delay system's own margin h_e
-    (`_delay_margin`), to which the closure's crossing converges with N.
-    Where the abscissa changes sign across [h_e - tol/2, h_e + tol/2], the
-    result is h_e after 2 closure eigen-solves.  Otherwise ITP root-finding
-    (`_itp`) finishes between that window and the end of the bracket on the
-    side of the sign change, reusing the value at the window's edge; where
-    h_e is infinite or outside the bracket, it searches the whole bracket.
+    The search starts from the delay system's own margin h_e and crossing
+    frequency omega_e (`_delay_margin`), to which the closure's crossing
+    converges with N.  Where the abscissa changes sign across
+    [h_e - tol/2, h_e + tol/2], the result is h_e after 2 closure
+    evaluations.  The window's lower end takes an eigen-solve.  At its upper
+    end one eigenvalue with Re lam >= 0 suffices, which
+    `linalg._certify_unstable` looks for by inverse iteration about
+    i omega_e; only where it finds none does that end take an eigen-solve
+    too.  The search reads only the sign of a certified value.  Otherwise
+    ITP root-finding (`_itp`) finishes between that window and the end of
+    the bracket on the side of the sign change, reusing the value at the
+    window's edge; where h_e is infinite or outside the bracket, it
+    searches the whole bracket.  Every other evaluation is an eigen-solve.
     A call takes at most ITP's count on the whole bracket with its ends,
-    ceil(log2((hi - lo) / tol)) + 3 eigen-solves.  From closure order 64
-    on, the two ends of the window, or of the bracket, are evaluated at
-    once where the process may use two CPUs (`_both`), with the same
-    results.  h_e only places the window: the result is the midpoint of a
-    final bracket at most `tol` wide across which the closure's abscissa
-    changes sign, so that crossing lies within tol/2 of it.
+    ceil(log2((hi - lo) / tol)) + 3 evaluations.  h_e only places the
+    window: the result is the midpoint of a final bracket at most `tol`
+    wide across which the closure's abscissa changes sign, so that
+    crossing lies within tol/2 of it.  The one DEBUG record gives the
+    evaluation count, h_e, the final bracket and how the window's upper end
+    was decided ("certified in k steps" or "full solve").
 
     The lower bracket must be stable and the upper bracket unstable for the
     chosen closure (an abscissa >= 0 counts as unstable), checked where the
@@ -421,31 +370,27 @@ def critical_delay(system, scheme="legendre", N=20, bracket=(1.0, 10.0), tol=1e-
     h_lo, h_hi, tol = _check_bracket(bracket, tol)
     N = _check_order(N)
     evaluations = 0
-    at_once = system.n * (N + 1) >= _OVERLAP_ORDER
+    upper_end = "full solve"
 
-    def closure(h):
-        return build_model(dataclasses.replace(system, h=h), scheme, N).A
-
-    def checked(h, a):
+    def abscissa(h, omega=None):
+        """The closure's spectral abscissa at h or, given omega, the real
+        part >= 0 of an eigenvalue certified about i omega where one is."""
+        nonlocal evaluations, upper_end
+        evaluations += 1
+        A = build_model(dataclasses.replace(system, h=h), scheme, N).A
+        found = None if omega is None else _certify_unstable(A, omega)
+        if found is None:
+            a = is_hurwitz(A)[1]
+        else:
+            a, steps = found
+            upper_end = f"certified in {steps} steps"
         if h == h_lo and a >= 0.0:
             raise ValueError(f"system is not stable at the lower bracket h = {h_lo}")
         if h == h_hi and a < 0.0:
             raise ValueError(f"system is still stable at the upper bracket h = {h_hi}")
         return a
 
-    def abscissa(h):
-        nonlocal evaluations
-        evaluations += 1
-        return checked(h, _max_re(closure(h)))
-
-    def abscissae(x, y):
-        """(abscissa(x), abscissa(y)), both eigen-solves at once."""
-        nonlocal evaluations
-        evaluations += 2
-        a_x, a_y = _both(_max_re, closure(x), closure(y), at_once)
-        return checked(x, a_x), checked(y, a_y)
-
-    h_e = _delay_margin(system.A0, system.A1)
+    h_e, omega_e = _delay_margin(system.A0, system.A1)
     n_max = int(np.ceil(np.log2((h_hi - h_lo) / tol))) + 1   # ITP's, n0 = 1
     a = max(h_lo, h_e - 0.5 * tol)
     b = min(h_hi, a + tol)
@@ -458,7 +403,7 @@ def critical_delay(system, scheme="legendre", N=20, bracket=(1.0, 10.0), tol=1e-
     goal = tol - 4.0 * np.spacing(h_hi)
     if h_lo < h_e < h_hi and max(a - h_lo, h_hi - b) <= goal * 2.0 ** (n_max - 1):
         n_max -= 1
-        f_a, f_b = abscissae(a, b)
+        f_a, f_b = abscissa(a), abscissa(b, omega_e)
         if f_b < 0.0:   # the crossing lies above the window
             lo, hi, f_lo, f_hi = b, h_hi, f_b, abscissa(h_hi)
         elif f_a >= 0.0:   # or below it
@@ -471,10 +416,10 @@ def critical_delay(system, scheme="legendre", N=20, bracket=(1.0, 10.0), tol=1e-
     else:
         # With no such point, three bisections first: on 40 random systems
         # 0.2 / (hi - lo) took 17 eigen-solves on average against 11.
-        lo, hi = h_lo, h_hi
-        f_lo, f_hi = abscissae(lo, hi)
+        lo, hi, f_lo, f_hi = h_lo, h_hi, abscissa(h_lo), abscissa(h_hi)
         kappa1 = 2.0 / (hi - lo)
     lo, hi, _ = _itp(abscissa, lo, hi, f_lo, f_hi, tol, n_max, kappa1)
     _log.debug("critical_delay: %d abscissa evaluations, delay margin %r, "
-               "final bracket [%r, %r]", evaluations, h_e, lo, hi)
+               "final bracket [%r, %r], upper end: %s", evaluations, h_e, lo, hi,
+               upper_end)
     return 0.5 * (lo + hi)

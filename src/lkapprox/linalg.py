@@ -4,14 +4,14 @@ Thin, contract-checked wrappers around LAPACK-backed routines plus the
 generalized Schur complement used for quadratic lower bounds.  All inputs
 are real; eigenvalues may come back complex.
 
-The four LAPACK and BLAS routines that NumPy's API lacks (dgees, dtrsyl3,
-dpocon and dtrsv), and dgeev, are called through ctypes from the OpenBLAS
-that NumPy already loads; its wheels export them as `scipy_<name>_64_` with
-64-bit integers.  A ctypes call releases the GIL, so two Python threads run
-two of them at once, which NumPy 2.4's own eigen-routines do not.  Where no
-loaded library exports them, they are taken from `scipy.linalg.lapack` and
+The LAPACK and BLAS routines that NumPy's API lacks (dgees, dtrsyl3, dpocon
+and dtrsv) or does not expose (the complex LU factorization zgetrf and its
+solve zgetrs, whose factors np.linalg.solve does not keep) are called
+through ctypes from the OpenBLAS that NumPy already loads; its wheels export
+them as `scipy_<name>_64_` with 64-bit integers.  Where no loaded library
+exports them, they are taken from `scipy.linalg.lapack` and
 `scipy.linalg.blas` instead, with dtrsyl in place of dtrsyl3, which SciPy
-does not wrap, and `np.linalg.eigvals` in place of dgeev.
+does not wrap.
 """
 
 from __future__ import annotations
@@ -78,35 +78,26 @@ class _Routines(NamedTuple):
                       # upper quasi-triangular; C may be overwritten
     pocon: Callable   # pocon(R, anorm) -> reciprocal 1-norm condition of R^T R
     trsv: Callable    # trsv(R, B) -> G with R^T G = B, one dtrsv per column of B
-    geev: Callable    # geev(A) -> (wr, wi, info): the eigenvalues wr + i wi of A
-
-
-def _numpy_geev(A):
-    """`geev` by `np.linalg.eigvals`, which calls dgeev but holds the GIL."""
-    try:
-        lam = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError:
-        return None, None, 1
-    return lam.real, lam.imag, 0
+    getrf: Callable   # getrf(M) -> (LU, piv, info): complex M = P L U, partial pivoting
+    getrs: Callable   # getrs(LU, piv, b) -> x with M x = b, from getrf's factors
 
 
 def _probe(lib):
     """The routines bound to the ctypes library `lib`, or None unless it
-    exports all five with ILP64 names (`scipy_<name>_64_`, `<name>_64_`)."""
+    exports all six with ILP64 names (`scipy_<name>_64_`, `<name>_64_`)."""
     for pattern in ("scipy_{}_64_", "{}_64_"):
         fns = [getattr(lib, pattern.format(name), None)
-               for name in ("dgees", "dtrsyl3", "dpocon", "dtrsv", "dgeev")]
+               for name in ("dgees", "dtrsyl3", "dpocon", "dtrsv", "zgetrf", "zgetrs")]
         if all(fns):
             return _bind(*fns)
     return None
 
 
-def _bind(dgees, dtrsyl3, dpocon, dtrsv, dgeev=None):
+def _bind(dgees, dtrsyl3, dpocon, dtrsv, zgetrf, zgetrs):
     """Wrap the Fortran symbols in the `_Routines` calling convention.
 
     Arrays pass as addresses, integers as 64-bit references, and each
-    character argument carries gfortran's trailing hidden length.  With no
-    dgeev, `geev` is `_numpy_geev`.
+    character argument carries gfortran's trailing hidden length.
     """
     ptr, size = ctypes.c_void_p, ctypes.c_size_t
     i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
@@ -116,60 +107,36 @@ def _bind(dgees, dtrsyl3, dpocon, dtrsv, dgeev=None):
         f64, ptr, i64, ptr, i64, i64, size, size]
     dpocon.argtypes = [ctypes.c_char_p, i64, ptr, i64, f64, f64, ptr, ptr, i64, size]
     dtrsv.argtypes = [ctypes.c_char_p] * 3 + [i64, ptr, i64, ptr, i64, size, size, size]
-    for fn in (dgees, dtrsyl3, dpocon, dtrsv):
+    zgetrf.argtypes = [i64, i64, ptr, i64, ptr, i64]
+    zgetrs.argtypes = [ctypes.c_char_p, i64, i64, ptr, i64, ptr, ptr, i64, i64, size]
+    for fn in (dgees, dtrsyl3, dpocon, dtrsv, zgetrf, zgetrs):
         fn.restype = None
-    if dgeev is not None:
-        dgeev.argtypes = [ctypes.c_char_p] * 2 + [i64, ptr, i64, ptr, ptr, ptr, i64,
-                                                  ptr, i64, ptr, i64, i64, size, size]
-        dgeev.restype = None
     ref, c_i64, c_f64 = ctypes.byref, ctypes.c_int64, ctypes.c_double
     one = ref(c_i64(1))
-    # The workspaces of dgees, dgeev and dtrsyl3 depend only on the orders,
-    # through the block sizes ILAENV picks for them, so each order is queried
-    # once.
-    gees_work, geev_work = {}, {}   # n -> LWORK
+    # The workspaces of dgees and dtrsyl3 depend only on the orders, through
+    # the block sizes ILAENV picks for them, so each order is queried once.
+    gees_work = {}    # n -> LWORK
     trsyl_work = {}   # (m, n) -> (IWORK's length, SWORK's rows, SWORK's columns)
-
-    def with_workspace(cache, n, lwork, call):
-        """call(WORK's address) with LWORK set to the optimal size at order n."""
-        if n not in cache:
-            best = c_f64()
-            lwork.value = -1
-            call(ctypes.addressof(best))      # workspace query
-            cache[n] = int(best.value)
-        lwork.value = cache[n]
-        work = np.empty(lwork.value)          # referenced until the call returns
-        call(work.ctypes.data)
 
     def gees(A):
         n = c_i64(A.shape[0])
         T = np.array(A, dtype=np.float64, order="F")
         wr, wi = np.empty(A.shape[0]), np.empty(A.shape[0])
         Z = np.empty_like(T)
-        sdim, info, lwork = c_i64(), c_i64(), c_i64()
+        sdim, info, lwork, best = c_i64(), c_i64(), c_i64(-1), c_f64()
 
         def call(work):
             dgees(b"V", b"N", None, ref(n), T.ctypes.data, ref(n), ref(sdim),
                   wr.ctypes.data, wi.ctypes.data, Z.ctypes.data, ref(n),
                   work, ref(lwork), None, ref(info), 1, 1)
 
-        with_workspace(gees_work, n.value, lwork, call)
+        if n.value not in gees_work:
+            call(ctypes.addressof(best))      # workspace query
+            gees_work[n.value] = int(best.value)
+        lwork.value = gees_work[n.value]
+        work = np.empty(lwork.value)          # referenced until the call returns
+        call(work.ctypes.data)
         return T, wr, wi, Z, info.value
-
-    def geev(A):
-        # np.linalg.eigvals makes this call: A in Fortran order, no
-        # eigenvectors, the queried workspace.
-        n = c_i64(A.shape[0])
-        H = np.array(A, dtype=np.float64, order="F")
-        wr, wi = np.empty(A.shape[0]), np.empty(A.shape[0])
-        info, lwork = c_i64(), c_i64()
-
-        def call(work):
-            dgeev(b"N", b"N", ref(n), H.ctypes.data, ref(n), wr.ctypes.data,
-                  wi.ctypes.data, None, one, None, one, work, ref(lwork), ref(info), 1, 1)
-
-        with_workspace(geev_work, n.value, lwork, call)
-        return wr, wi, info.value
 
     def trsyl(A, B, C):
         A, B, X = (np.asfortranarray(M, dtype=np.float64) for M in (A, B, C))
@@ -209,7 +176,21 @@ def _bind(dgees, dtrsyl3, dpocon, dtrsv, dgeev=None):
                   1, 1, 1)
         return G
 
-    return _Routines(gees, trsyl, pocon, trsv, geev if dgeev is not None else _numpy_geev)
+    def getrf(M):
+        LU = np.array(M, dtype=np.complex128, order="F")
+        n = ref(c_i64(LU.shape[0]))
+        piv, info = np.empty(LU.shape[0], dtype=np.int64), c_i64()
+        zgetrf(n, n, LU.ctypes.data, n, piv.ctypes.data, ref(info))
+        return LU, piv, info.value
+
+    def getrs(LU, piv, b):
+        x = np.array(b, dtype=np.complex128)
+        n, info = ref(c_i64(LU.shape[0])), c_i64()
+        zgetrs(b"N", n, one, LU.ctypes.data, n, piv.ctypes.data, x.ctypes.data, n,
+               ref(info), 1)
+        return x
+
+    return _Routines(gees, trsyl, pocon, trsv, getrf, getrs)
 
 
 def _scipy_routines():
@@ -237,7 +218,10 @@ def _scipy_routines():
     def trsv(R, B):
         return np.column_stack([blas.dtrsv(R, b, trans=1) for b in B.T])
 
-    return _Routines(gees, trsyl, pocon, trsv, _numpy_geev)
+    def getrs(LU, piv, b):
+        return lapack.zgetrs(LU, piv, b)[0]
+
+    return _Routines(gees, trsyl, pocon, trsv, lapack.zgetrf, getrs)
 
 
 def _bind_lapack():
@@ -252,7 +236,7 @@ def _bind_lapack():
     return "scipy", _scipy_routines()
 
 
-_LAPACK_SOURCE, (_gees, _trsyl, _pocon, _trsv, _geev) = _bind_lapack()
+_LAPACK_SOURCE, (_gees, _trsyl, _pocon, _trsv, _getrf, _getrs) = _bind_lapack()
 
 
 class DimensionError(ValueError):
@@ -342,19 +326,12 @@ def _symmetrized(S, name):
 
 
 def eigenvalues(A):
-    """Eigenvalues of a real square matrix (LAPACK dgeev, unordered), complex-typed.
-
-    The bits of `np.linalg.eigvals(A)`, from the same call, without holding
-    the GIL.
-    """
+    """Eigenvalues of a real square matrix (QR algorithm, unordered), complex-typed."""
     A = _as_square(A)
-    wr, wi, info = _geev(A)
-    if info != 0:
-        raise ConvergenceError(f"eigenvalue iteration did not converge (info={info})")
-    lam = wr.astype(complex)
-    if wi.any():   # else +0.0 parts, as np.linalg.eigvals gives a real spectrum
-        lam.imag = wi
-    return lam
+    try:
+        return np.linalg.eigvals(A).astype(complex, copy=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
 def is_hurwitz(A):
@@ -367,6 +344,38 @@ def is_hurwitz(A):
     """
     max_re = float(np.max(eigenvalues(A).real))
     return max_re < 0.0, max_re
+
+
+def _certify_unstable(A, omega):
+    """(Re lam, k) for an eigenvalue lam of A with Re lam >= 0, found by k <= 8
+    steps of inverse iteration about i omega, or None where none is certified.
+
+    A - i omega I is factored once by complex LU (zgetrf).  Each step solves
+    with it (zgetrs), normalizes x and takes the Rayleigh quotient
+    lam = x* A x; the iteration stops once ||A x - lam x||_2 <= 100 eps ||A||_1,
+    where lam is an exact eigenvalue of a matrix that close to A (Ipsen, SIAM
+    Review 39, 1997), the backward-error class of the QR algorithm's.  None
+    where that lam has Re lam < 0, a pivot is exactly zero or 8 steps do not
+    reach the gate: the spectrum may then still be stable.
+    """
+    d = len(A)
+    M = A.astype(complex)
+    M.flat[::d + 1] -= 1j * omega
+    LU, piv, info = _getrf(M)
+    if info != 0:
+        return None
+    gate = 100.0 * np.finfo(float).eps * float(np.linalg.norm(A, 1))
+    # A start with no pattern: the closures' Kronecker structure can leave
+    # a constant vector orthogonal to the eigenvector that crossed.
+    x = np.sin(np.arange(1.0, d + 1.0)).astype(complex)
+    for k in range(1, 9):
+        y = _getrs(LU, piv, x)
+        x = y / np.linalg.norm(y)
+        Ax = A @ x.real + 1j * (A @ x.imag)
+        lam = np.vdot(x, Ax)
+        if np.linalg.norm(Ax - lam * x) <= gate:
+            return (float(lam.real), k) if lam.real >= 0.0 else None
+    return None
 
 
 class LyapunovSolution(NamedTuple):

@@ -381,7 +381,21 @@ def test_sweep_reuses_order_tables_and_completeness(capsys, monkeypatch):
     assert counts == {"kron": 0, "Q2": 2}
 
 
-def test_sweep_starts_no_threads(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["spectrum", "--config", "example2", "--both"], id="spectrum"),
+    pytest.param(["build", "--config", "example1", "--out", "{tmp}/P.bin"], id="build"),
+    pytest.param(["eval", "--config", "example2", "--phi", "sin"], id="eval"),
+    pytest.param(["k1", "--config", "example2", "-N", "40"], id="k1"),
+    # d = 82: a closure order large enough for a thread gated on order to start.
+    pytest.param(["critical-delay", "--config", "example2", "-N", "40"],
+                 id="critical-delay"),
+    pytest.param(["sweep", "--config", "example2", "-N", "20", "--axis", "h",
+                  "--range", "1:4", "--steps", "5"], id="sweep"),
+    pytest.param(["validate", "--config", "example2", "-N", "12"], id="validate"),
+])
+def test_command_starts_no_threads(capsys, monkeypatch, tmp_path, argv):
+    # Every command runs on the calling thread: Python threads cannot
+    # overlap a build's NumPy glue, and a kept worker slowed later builds.
     started = []
     start = threading.Thread.start
 
@@ -390,10 +404,10 @@ def test_sweep_starts_no_threads(capsys, monkeypatch):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", counting_start)
-    code, out = run(capsys, "sweep", "--config", "example2", "-N", "20",
-                    "--axis", "h", "--range", "1:4", "--steps", "5")
+    code, out = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert code == cli.EXIT_OK
-    assert len(parse_csv(out)[1]) == 5
+    if argv[0] == "sweep":
+        assert len(parse_csv(out)[1]) == 5
     assert started == []
 
 

@@ -2,9 +2,7 @@ import dataclasses
 import itertools
 import logging
 import math
-import sys
-import threading
-import time
+import re
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -45,7 +43,13 @@ from lkapprox.functional import (
     baseline_k1,
     critical_delay,
 )
-from lkapprox.linalg import ConvergenceError, DimensionError, is_hurwitz, solve_lyapunov
+from lkapprox.linalg import (
+    ConvergenceError,
+    DimensionError,
+    _certify_unstable,
+    is_hurwitz,
+    solve_lyapunov,
+)
 from lkapprox.oracle import build_delay_lyap, k1_quad
 from lkapprox.spectral import cheb_nodes, gauss_legendre
 
@@ -515,15 +519,17 @@ def test_critical_delay_examples(monkeypatch, ex1_system, ex2_system, ex1_h_crit
     tol = 1e-4
     for (system, h_crit), N in itertools.product(
             ((ex2_system, ex2_h_crit), (ex1_system, ex1_h_crit)), (10, 20)):
-        counts = {"eig": 0}
+        counts = {"closure": 0, "eig": 0}
         with monkeypatch.context() as m:
+            _count_calls(m, counts, "closure", lkapprox.functional, "build_model")
             _count_calls(m, counts, "eig", lkapprox.functional, "is_hurwitz")
             h = critical_delay(system, scheme, N=N, bracket=(1.0, 10.0), tol=tol)
         assert abs(h - h_crit) <= 1e-2
         # The closure's crossing lies within tol/2 of the delay margin, so
-        # the window around it takes the only 2 closure eigen-solves; ITP on
+        # the window around it takes the only 2 closure evaluations, and the
+        # certificate decides its upper end without an eigen-solve; ITP on
         # the whole bracket took 10-11, and bisection 2 + ceil(log2(9 / 1e-4)) = 19.
-        assert counts["eig"] == 2, counts
+        assert counts == {"closure": 2, "eig": 1}, counts
         assert _abscissa(system, scheme, N, h - 0.5 * tol) < 0.0 <= _abscissa(
             system, scheme, N, h + 0.5 * tol)
 
@@ -537,14 +543,15 @@ def test_critical_delay_low_order_finishes_beside_the_window(monkeypatch, ex1_sy
     # bracket.  Each case takes fewer than the 11 closure eigen-solves of
     # ITP on the whole bracket (8 and 9 for cheb, 2 and 7 for legendre,
     # measured; 11, 10, 12 and 2 with kappa1 = 2 / (hi - lo) beside the
-    # window), and still ends on a sign change.
+    # window), and still ends on a sign change.  Each evaluation builds one
+    # closure, whether the certificate or an eigen-solve decides it.
     tol = 1e-4
     for system in (ex1_system, ex2_system):
-        counts = {"eig": 0}
+        counts = {"closure": 0}
         with monkeypatch.context() as m:
-            _count_calls(m, counts, "eig", lkapprox.functional, "is_hurwitz")
+            _count_calls(m, counts, "closure", lkapprox.functional, "build_model")
             h = critical_delay(system, scheme, N=4, bracket=(1.0, 10.0), tol=tol)
-        assert counts["eig"] <= 9, counts
+        assert counts["closure"] <= 9, counts
         assert _abscissa(system, scheme, 4, h - 0.5 * tol) < 0.0 <= _abscissa(
             system, scheme, 4, h + 0.5 * tol)
 
@@ -553,13 +560,15 @@ def test_critical_delay_low_order_finishes_beside_the_window(monkeypatch, ex1_sy
                                  10.0 - 1e-9])
 @pytest.mark.parametrize("tol", [1e-4, 1e-9])
 def test_critical_delay_holds_its_contract_from_any_seed(monkeypatch, ex2_system, h_e, tol):
-    # The delay margin only places the windows: from a wrong one the search
-    # still ends on a closure sign change within ITP's bound for the bracket.
-    monkeypatch.setattr(lkapprox.functional, "_delay_margin", lambda A0, A1: h_e)
-    counts = {"eig": 0}
-    _count_calls(monkeypatch, counts, "eig", lkapprox.functional, "is_hurwitz")
+    # The delay margin only places the windows: from a wrong one, with the
+    # true crossing frequency for the certificate, the search still ends on
+    # a closure sign change within ITP's bound for the bracket.
+    omega = _delay_margin(ex2_system.A0, ex2_system.A1)[1]
+    monkeypatch.setattr(lkapprox.functional, "_delay_margin", lambda A0, A1: (h_e, omega))
+    counts = {"closure": 0}
+    _count_calls(monkeypatch, counts, "closure", lkapprox.functional, "build_model")
     h = critical_delay(ex2_system, "legendre", N=10, bracket=(1.0, 10.0), tol=tol)
-    assert counts["eig"] <= int(np.ceil(np.log2(9.0 / tol))) + 3, counts
+    assert counts["closure"] <= int(np.ceil(np.log2(9.0 / tol))) + 3, counts
     assert _abscissa(ex2_system, "legendre", 10, h - 0.5 * tol) < 0.0 <= _abscissa(
         ex2_system, "legendre", 10, h + 0.5 * tol)
 
@@ -575,7 +584,9 @@ def test_critical_delay_seeds_only_where_itp_can_finish(monkeypatch, ex1_system,
     tol = 1e-10
     lo = h_c - 0.3 * tol * 2.0 ** 18
     hi = lo + tol * 2.0 ** 18 * (1.0 + widen)
-    monkeypatch.setattr(lkapprox.functional, "_delay_margin", lambda A0, A1: lo + 0.1 * tol)
+    omega = _delay_margin(system.A0, system.A1)[1]
+    monkeypatch.setattr(lkapprox.functional, "_delay_margin",
+                        lambda A0, A1: (lo + 0.1 * tol, omega))
     points = []
     build = lkapprox.functional.build_model
 
@@ -601,10 +612,11 @@ def test_critical_delay_checks_each_bracket_end_it_reaches(monkeypatch, ex2_syst
     # A0 + A1 is not Hurwitz: no margin, and the lower end is unstable.
     with pytest.raises(ValueError, match="lower bracket"):
         critical_delay(RfdeSystem([[0.5]], [[-0.2]], 1.0), "legendre", N=10)
+    omega = _delay_margin(ex2_system.A0, ex2_system.A1)[1]
     for h_e, bracket, match in ((8.0, (6.5, 10.0), "lower bracket"),
                                 (3.0, (1.0, 6.0), "upper bracket")):
         with monkeypatch.context() as m:
-            m.setattr(lkapprox.functional, "_delay_margin", lambda A0, A1: h_e)
+            m.setattr(lkapprox.functional, "_delay_margin", lambda A0, A1: (h_e, omega))
             with pytest.raises(ValueError, match=match):
                 critical_delay(ex2_system, "legendre", N=10, bracket=bracket, tol=1e-4)
     # A window clipped at an end evaluates it: here it holds the crossing.
@@ -614,7 +626,7 @@ def test_critical_delay_checks_each_bracket_end_it_reaches(monkeypatch, ex2_syst
 
 
 def _critical_delay_outcomes(monkeypatch, caplog, ex2_system):
-    """(h_critical or the ValueError's message, DEBUG evaluation count) for
+    """(h_critical or the ValueError's message, DEBUG evaluation counts) for
     window and whole-bracket searches and each bad bracket of
     `test_critical_delay_checks_each_bracket_end_it_reaches`."""
     runs = [(ex2_system, scheme, N, (1.0, 10.0), None)
@@ -626,11 +638,13 @@ def _critical_delay_outcomes(monkeypatch, caplog, ex2_system):
              (ex2_system, "legendre", 10, (6.5, 10.0), 8.0),
              (ex2_system, "legendre", 10, (1.0, 6.0), 3.0)]
     margin = lkapprox.functional._delay_margin
+    omega = margin(ex2_system.A0, ex2_system.A1)[1]
     out = []
     for system, scheme, N, bracket, h_e in runs:
         with monkeypatch.context() as m:
             if h_e is not None:
-                m.setattr(lkapprox.functional, "_delay_margin", lambda A0, A1: h_e)
+                seed = (h_e, omega if h_e < np.inf else None)
+                m.setattr(lkapprox.functional, "_delay_margin", lambda A0, A1: seed)
             caplog.clear()
             try:
                 with caplog.at_level(logging.DEBUG, logger="lkapprox"):
@@ -643,126 +657,138 @@ def _critical_delay_outcomes(monkeypatch, caplog, ex2_system):
     return out
 
 
-def _record_threads(monkeypatch):
-    """{thread name: is_hurwitz calls}, filled as `critical_delay` runs."""
-    threads = {}
-    is_hurwitz = lkapprox.functional.is_hurwitz
-
-    def recorded(A):
-        name = threading.current_thread().name
-        threads[name] = threads.get(name, 0) + 1
-        return is_hurwitz(A)
-
-    monkeypatch.setattr(lkapprox.functional, "is_hurwitz", recorded)
-    return threads
+def _declined(A, omega):
+    return None
 
 
-def test_critical_delay_is_the_same_on_one_and_two_cpus(monkeypatch, caplog, ex2_system):
-    # The two ends of a window or bracket run on two threads only where the
-    # process may use two CPUs (here at every order); the result, the
-    # evaluation count and the bracket error the caller sees are the same
-    # either way.
-    monkeypatch.setattr(lkapprox.functional, "_OVERLAP_ORDER", 1)
-    threads = _record_threads(monkeypatch)
-    outcomes = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(lkapprox.functional, "_cpu_count", lambda: cpus)
-        threads.clear()
-        outcomes[cpus] = _critical_delay_outcomes(monkeypatch, caplog, ex2_system)
-        assert (len(threads) == 2) == (cpus == 2), threads
-    assert outcomes[1] == outcomes[2]
-    errors = [got for got, _ in outcomes[1] if isinstance(got, str)]
+def test_critical_delay_outcomes_do_not_depend_on_the_certificate(monkeypatch, caplog,
+                                                                  ex2_system):
+    # Where the certificate decides the window's upper end, the result, the
+    # evaluation count and the bracket error the caller sees are those of
+    # an eigen-solve there.
+    certified = _critical_delay_outcomes(monkeypatch, caplog, ex2_system)
+    monkeypatch.setattr(lkapprox.functional, "_certify_unstable", _declined)
+    assert certified == _critical_delay_outcomes(monkeypatch, caplog, ex2_system)
+    errors = [got for got, _ in certified if isinstance(got, str)]
     assert len(errors) == 5 and all("bracket" in e for e in errors), errors
-    assert all(len(counts) == 1 for got, counts in outcomes[1] if not isinstance(got, str))
-
-
-def test_both_finishes_both_calls_and_raises_the_first_error(monkeypatch):
-    finished = []
-
-    def failing(x):
-        if x == "upper":
-            time.sleep(0.05)   # still running when the lower call raises
-        finished.append(x)
-        raise KeyError(x)
-
-    for cpus, calls in ((1, ["lower"]), (2, ["lower", "upper"])):
-        monkeypatch.setattr(lkapprox.functional, "_cpu_count", lambda: cpus)
-        finished.clear()
-        with pytest.raises(KeyError, match="lower"):
-            lkapprox.functional._both(failing, "lower", "upper", True)
-        assert finished == calls
-    assert lkapprox.functional._both(str.upper, "a", "b", True) == ("A", "B")
-
-
-def test_both_serves_many_callers_from_one_worker(monkeypatch):
-    # Six threads, more than the cores, share the worker from a cold start
-    # with a short switch interval: one worker starts, and every caller gets
-    # its own pair of results back.
-    lf = lkapprox.functional
-    monkeypatch.setattr(lf, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(lf, "_worker", None)
-    started = []
-    start = threading.Thread.start
-
-    def counting_start(thread):
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
-    results = {}
-
-    def caller(k):
-        results[k] = [lf._both(str, (k, i, "x"), (k, i, "y"), True) for i in range(200)]
-
-    callers = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in callers:
-            thread.start()
-        for thread in callers:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in callers)
-    assert len(started) == len(callers) + 1
-    for k in range(6):
-        assert results[k] == [(str((k, i, "x")), str((k, i, "y"))) for i in range(200)]
+    assert all(len(counts) == 1 for got, counts in certified if not isinstance(got, str))
 
 
 def test_critical_delay_raises_the_lower_bracket_error_first(monkeypatch, ex2_system):
     # Both ends of the bracket wrong, unstable below and stable above: the
-    # lower end's error, as when the ends were evaluated one after the other.
+    # lower end's error, as the ends are evaluated one after the other.
     lower = build_model(dataclasses.replace(ex2_system, h=1.0), "legendre", 10).A
     monkeypatch.setattr(lkapprox.functional, "is_hurwitz",
                         lambda A: (False, 1.0) if np.array_equal(A, lower) else (True, -1.0))
-    monkeypatch.setattr(lkapprox.functional, "_delay_margin", lambda A0, A1: np.inf)
-    monkeypatch.setattr(lkapprox.functional, "_OVERLAP_ORDER", 1)
-    for cpus in (1, 2):
-        monkeypatch.setattr(lkapprox.functional, "_cpu_count", lambda: cpus)
-        with pytest.raises(ValueError, match="lower bracket"):
-            critical_delay(ex2_system, "legendre", N=10, bracket=(1.0, 10.0), tol=1e-4)
+    monkeypatch.setattr(lkapprox.functional, "_delay_margin", lambda A0, A1: (np.inf, None))
+    with pytest.raises(ValueError, match="lower bracket"):
+        critical_delay(ex2_system, "legendre", N=10, bracket=(1.0, 10.0), tol=1e-4)
 
 
-def test_critical_delay_repeats_on_two_threads(monkeypatch, ex2_system):
-    # Example 2 at N = 20 takes the window path, whose two eigen-solves run
-    # at once (here below the order they would): 50 calls in one process
-    # give one result.
-    monkeypatch.setattr(lkapprox.functional, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(lkapprox.functional, "_OVERLAP_ORDER", 1)
-    results = {critical_delay(ex2_system, "legendre", N=20) for _ in range(50)}
-    assert len(results) == 1
+def _delay_dependent(drawn):
+    """x' = A1 x + A0 x(t - h) from a `_stable_systems` draw: the delayed
+    term dominates (||A1||_2 < delta <= sigma_min(A0)), so an eigenvalue of
+    A0^-1 (i omega - A1) moves from inside the unit circle at omega = 0 to
+    outside as omega grows, and the system has a finite delay margin."""
+    A0, A1 = drawn[:2]
+    return A1, A0
 
 
-@pytest.mark.parametrize("N, threads_used", [(20, 1), (31, 2), (40, 2)])
-def test_critical_delay_overlaps_from_closure_order_64(monkeypatch, ex2_system, N,
-                                                       threads_used):
-    # Example 2 has n = 2: at N = 20 (d = 42) waking the worker costs what
-    # the overlap saves, from N = 31 (d = 64) on the window's ends overlap.
-    monkeypatch.setattr(lkapprox.functional, "_cpu_count", lambda: 2)
-    threads = _record_threads(monkeypatch)
-    critical_delay(ex2_system, "legendre", N=N)
-    assert len(threads) == threads_used and sum(threads.values()) == 2, threads
+def _outcome(system, scheme, N, bracket):
+    try:
+        return critical_delay(system, scheme, N=N, bracket=bracket, tol=1e-4)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_stable_systems())
+def test_certificate_never_certifies_a_stable_closure(drawn):
+    # At both ends of the window, for both schemes and N in {4, 10, 20}: a
+    # certified end has an eigenvalue at or right of the axis by
+    # np.linalg.eigvals too, and the certified real part is that of one of
+    # its eigenvalues (not always the rightmost: a draw with two crossings
+    # 1e-6 apart certifies the other).
+    A0, A1 = _delay_dependent(drawn)
+    h_e, omega = _delay_margin(A0, A1)
+    assert np.isfinite(h_e) and omega > 0.0
+    for scheme, N, side in itertools.product(("legendre", "cheb"), (4, 10, 20), (-1, 1)):
+        A = build_model(RfdeSystem(A0, A1, h_e + side * 0.5e-4), scheme, N).A
+        found = _certify_unstable(A, omega)
+        re_parts = np.linalg.eigvals(A).real
+        if found is not None:
+            re_lam, steps = found
+            assert 0.0 <= re_lam and np.max(re_parts) >= 0.0 and 1 <= steps <= 8
+            assert np.min(np.abs(re_parts - re_lam)) <= 1e-9
+
+
+@pytest.mark.parametrize("re_part", [1e-14, -1e-14])
+@pytest.mark.parametrize("seed", range(4))
+def test_certificate_at_the_axis_of_a_normal_matrix(re_part, seed):
+    # A normal matrix with eigenvalues re_part +- i omega, the rest at
+    # -0.5 to -3: inverse iteration about i omega certifies the pair
+    # exactly where it lies right of the axis.
+    local = np.random.default_rng(seed)
+    omega = local.uniform(0.5, 3.0)
+    D = np.diag(np.append([re_part, re_part], -local.uniform(0.5, 3.0, 4)))
+    D[0, 1], D[1, 0] = omega, -omega
+    U = np.linalg.qr(local.standard_normal((6, 6)))[0]
+    A = U @ D @ U.T
+    found = _certify_unstable(A, omega)
+    assert (np.max(np.linalg.eigvals(A).real) >= 0.0) == (re_part > 0.0)
+    if re_part < 0.0:
+        assert found is None
+    else:
+        assert found is not None and abs(found[0] - re_part) <= 1e-15
+
+
+def test_certificate_declines_an_exact_zero_pivot():
+    # i is an eigenvalue of the rotation generator, and the LU of A - i I
+    # ends on an exact zero pivot: no certificate, though Re lam = 0.
+    assert _certify_unstable(np.array([[0.0, 1.0], [-1.0, 0.0]]), 1.0) is None
+
+
+def _upper_end(caplog, system, scheme, N):
+    """critical_delay's result and how its window's upper end was decided."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="lkapprox"):
+        h = critical_delay(system, scheme, N=N)
+    (record,) = caplog.records
+    return h, record.args[-1]
+
+
+def test_critical_delay_falls_back_to_an_eigen_solve(monkeypatch, caplog, ex2_system):
+    # At N = 4 the legendre closure of example 2 is still stable at the
+    # window's upper end, so the certificate declines and an eigen-solve
+    # decides it; on a zero pivot (here reported for every factorization)
+    # the same happens at N = 20.  The results are those without a
+    # certificate.
+    h4, how = _upper_end(caplog, ex2_system, "legendre", 4)
+    assert how == "full solve"
+    h20, how = _upper_end(caplog, ex2_system, "legendre", 20)
+    assert how.startswith("certified")
+    getrf = lkapprox.linalg._getrf
+    monkeypatch.setattr(lkapprox.linalg, "_getrf", lambda M: getrf(M)[:2] + (1,))
+    assert _upper_end(caplog, ex2_system, "legendre", 20) == (h20, "full solve")
+    monkeypatch.setattr(lkapprox.functional, "_certify_unstable", _declined)
+    assert critical_delay(ex2_system, "legendre", N=4) == h4
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_stable_systems(), st.sampled_from(["legendre", "cheb"]),
+       st.sampled_from([4, 10, 20]))
+def test_critical_delay_is_the_same_without_the_certificate(drawn, scheme, N):
+    # The search reads only the sign of a certified value, which is >= 0,
+    # so where the certificate declines every time the result, or the
+    # bracket error, is the same float or message.
+    A0, A1 = _delay_dependent(drawn)
+    h_e = _delay_margin(A0, A1)[0]
+    system = RfdeSystem(A0, A1, 1.0)
+    bracket = (0.5 * h_e, 2.0 * h_e)
+    certified = _outcome(system, scheme, N, bracket)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lkapprox.functional, "_certify_unstable", _declined)
+        assert _outcome(system, scheme, N, bracket) == certified
 
 
 def _step(x):
@@ -813,14 +839,16 @@ def test_itp_bracket_and_evaluation_bound(f, tol):
 
 
 def _scalar_margin(a, b):
-    """Smallest h at which lam = a + b exp(-lam h) has a root on the
-    imaginary axis, for a + b < 0: acos(-a/b) / sqrt(b^2 - a^2), taken at
-    unit scale |a| + |b| = s and divided by s."""
+    """(h, omega): the smallest h at which lam = a + b exp(-lam h) has a root
+    i omega on the imaginary axis, for a + b < 0, with omega = sqrt(b^2 - a^2)
+    and h = acos(-a/b) / omega, taken at unit scale |a| + |b| = s; (inf, None)
+    where there is none."""
     if abs(b) <= -a:
-        return math.inf
+        return math.inf, None
     s = abs(a) + abs(b)
     a, b = a / s, b / s
-    return math.acos(-a / b) / math.sqrt(b * b - a * a) / s
+    omega = math.sqrt(b * b - a * a)
+    return math.acos(-a / b) / omega / s, omega * s
 
 
 @settings(max_examples=200, deadline=None)
@@ -830,12 +858,13 @@ def test_delay_margin_scalar(a, b):
     # jumps to infinity.
     scale = abs(a) + abs(b)
     assume(abs(a + b) > 1e-3 * scale and abs(abs(b) + a) > 1e-3 * scale)
-    got = _delay_margin(np.array([[a]]), np.array([[b]]))
-    want = _scalar_margin(a, b) if a + b < 0.0 else np.inf
+    got, omega = _delay_margin(np.array([[a]]), np.array([[b]]))
+    want, want_omega = _scalar_margin(a, b) if a + b < 0.0 else (np.inf, None)
     if np.isinf(want):
-        assert got == np.inf
+        assert got == np.inf and omega is None
     else:
         assert abs(got - want) <= 1e-12 * want
+        assert abs(omega - want_omega) <= 1e-12 * want_omega
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -850,29 +879,32 @@ def test_delay_margin_rotated_triangular_system(seed):
     A0 = np.diag(a) + np.tril(local.standard_normal((n, n)), -1)
     A1 = np.diag(b) + np.tril(local.standard_normal((n, n)), -1)
     Q = np.linalg.qr(local.standard_normal((n, n)))[0]
-    got = _delay_margin(Q @ A0 @ Q.T, Q @ A1 @ Q.T)
-    want = min(_scalar_margin(x, y) for x, y in zip(a, b))
-    assert got == want == np.inf or abs(got - want) <= 1e-10 * want
+    got, omega = _delay_margin(Q @ A0 @ Q.T, Q @ A1 @ Q.T)
+    want, want_omega = min((_scalar_margin(x, y) for x, y in zip(a, b)),
+                           key=lambda margin: margin[0])
+    assert (got == want == np.inf and omega is want_omega is None) or (
+        abs(got - want) <= 1e-10 * want and abs(omega - want_omega) <= 1e-10 * want_omega)
 
 
 def test_delay_margin_special_cases(ex1_h_crit, ex2_system, ex2_h_crit):
     # Scaling both matrices by c scales the margin by 1/c.
+    # The crossing frequency is example 2's sqrt(1 - 0.81), times c.
     for c in (1e-300, 1.0, 1e300):
         npt.assert_allclose(_delay_margin(c * ex2_system.A0, c * ex2_system.A1),
-                            ex2_h_crit / c, rtol=1e-13)
+                            (ex2_h_crit / c, c * math.sqrt(0.19)), rtol=1e-13)
     # A rank-one A1: example 1's crossing in the first coordinate, none in
     # the second, whose delayed term vanishes.
     Q = np.linalg.qr(np.random.default_rng(5).standard_normal((2, 2)))[0]
     A0 = Q @ np.array([[-0.5, 0.0], [0.7, -2.0]]) @ Q.T
     A1 = Q @ np.array([[-1.0, 0.0], [0.3, 0.0]]) @ Q.T
     assert np.linalg.matrix_rank(A1) == 1
-    npt.assert_allclose(_delay_margin(A0, A1), ex1_h_crit, rtol=1e-12)
+    npt.assert_allclose(_delay_margin(A0, A1)[0], ex1_h_crit, rtol=1e-12)
     # No delayed term, stable for every delay, and unstable at h = 0.
-    assert _delay_margin(ex2_system.A0, np.zeros((2, 2))) == np.inf
     stable = random_stable_rfde(np.random.default_rng(3), 3)
-    assert _delay_margin(stable.A0, stable.A1) == np.inf
-    assert _delay_margin(np.array([[0.5]]), np.array([[-0.2]])) == np.inf
-    assert _delay_margin(np.array([[-1.0]]), np.array([[1.0]])) == np.inf
+    for A0, A1 in ((ex2_system.A0, np.zeros((2, 2))), (stable.A0, stable.A1),
+                   (np.array([[0.5]]), np.array([[-0.2]])),
+                   (np.array([[-1.0]]), np.array([[1.0]]))):
+        assert _delay_margin(A0, A1) == (np.inf, None)
 
 
 def test_critical_delay_deterministic(ex2_system, ex2_h_crit, caplog):
@@ -880,13 +912,14 @@ def test_critical_delay_deterministic(ex2_system, ex2_h_crit, caplog):
         a = critical_delay(ex2_system, "legendre", N=10, bracket=(1.0, 10.0), tol=1e-3)
     b = critical_delay(ex2_system, "legendre", N=10, bracket=(1.0, 10.0), tol=1e-3)
     assert a == b
-    # One DEBUG record: the evaluation count, the delay system's own margin
-    # and the final bracket, the window around that margin.
+    # One DEBUG record: the evaluation count, the delay system's own margin,
+    # the final bracket, the window around that margin, and how the window's
+    # upper end was decided.
     (record,) = caplog.records
     assert record.name == "lkapprox.functional" and record.levelno == logging.DEBUG
-    evaluations, h_e, lo, hi = record.args
+    evaluations, h_e, lo, hi, upper_end = record.args
     assert evaluations <= 2 + int(np.ceil(np.log2(9.0 / 1e-3))) + 1
-    assert evaluations == 2
+    assert evaluations == 2 and re.fullmatch(r"certified in [1-8] steps", upper_end)
     assert abs(h_e - ex2_h_crit) <= 1e-12 * ex2_h_crit
     assert hi - lo <= 1e-3 and a == 0.5 * (lo + hi) and lo < h_e < hi
 
@@ -1020,12 +1053,10 @@ def test_build_factors_closure_once(monkeypatch, ex2_system, ex2_weights, scheme
     # its Hurwitz verdict from that factor: no eigenvalue call of its own.
     # `linalg._gees` is the one real Schur factorization (dgees, its
     # workspace query included), `linalg._trsyl` the one triangular solve
-    # (dtrsyl3, likewise); `eigenvalues` calls `linalg._geev` (dgeev), and
-    # np.linalg.eigvals is counted as well, where another path would call it.
+    # (dtrsyl3, likewise); `eigenvalues` calls np.linalg.eigvals.
     counts = {"schur": 0, "sylvester": 0, "eigvals": 0}
     _count_calls(monkeypatch, counts, "schur", lkapprox.linalg, "_gees")
     _count_calls(monkeypatch, counts, "sylvester", lkapprox.linalg, "_trsyl")
-    _count_calls(monkeypatch, counts, "eigvals", lkapprox.linalg, "_geev")
     _count_calls(monkeypatch, counts, "eigvals", np.linalg, "eigvals")
     fa = build_functional(ex2_system, ex2_weights, scheme, 20)
     assert counts == {"schur": 1, "sylvester": 1, "eigvals": 0}

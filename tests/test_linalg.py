@@ -447,14 +447,12 @@ def test_scipy_fallback_agrees_with_bound_lapack(monkeypatch):
 
 def test_lapack_probe():
     # A library without the ILP64 symbols (libc) is not bound; where the probe
-    # found NumPy's OpenBLAS, binding it again gives the five routines, dgeev
-    # bound through ctypes rather than taken from NumPy.
+    # found NumPy's OpenBLAS, binding it again gives the six routines.
     assert lkapprox.linalg._probe(ctypes.CDLL(ctypes.util.find_library("c"))) is None
     source = lkapprox.linalg._LAPACK_SOURCE
     if source != "scipy":
         routines = lkapprox.linalg._probe(ctypes.CDLL(source))
-        assert routines is not None and len(routines) == 5
-        assert routines.geev is not lkapprox.linalg._numpy_geev
+        assert routines is not None and len(routines) == 6
 
 
 @pytest.mark.skipif(lkapprox.linalg._LAPACK_SOURCE == "scipy",
@@ -467,7 +465,7 @@ def test_trsyl_queries_each_workspace_once_and_stays_bit_identical(monkeypatch):
     la = lkapprox.linalg
     lib = ctypes.CDLL(la._LAPACK_SOURCE)
     fns = [getattr(lib, f"scipy_{name}_64_", None) or getattr(lib, f"{name}_64_")
-           for name in ("dgees", "dtrsyl3", "dpocon", "dtrsv")]
+           for name in ("dgees", "dtrsyl3", "dpocon", "dtrsv", "zgetrf", "zgetrs")]
     la._bind(*fns)   # sets the argument types the wrapper below passes through
     calls = []
 
@@ -543,31 +541,39 @@ def test_eigenvalues_are_numpys_bit_for_bit():
     assert spectra == 3   # complex and real spectra both ran
 
 
-def test_scipy_fallback_eigenvalues_match_bound_dgeev(monkeypatch):
-    cases = list(_eigen_cases())
-    bound = [eigenvalues(A) for A in cases]
-    use_scipy_lapack(monkeypatch)
-    assert lkapprox.linalg._geev is lkapprox.linalg._numpy_geev
-    for A, ref in zip(cases, bound):
-        assert _same_parts(eigenvalues(A), ref)
+def test_complex_lu_solves_and_matches_the_scipy_fallback(monkeypatch):
+    # getrf/getrs solve (A - i omega I) x = b to 1e-13 backward error with
+    # the bound zgetrf/zgetrs and with SciPy's, which give the same
+    # certificate of a closure past its margin (the same steps, 1e-12 apart).
+    local = np.random.default_rng(8)
+    A = local.standard_normal((40, 40))
+    M = A - 1.7j * np.eye(40)
+    b = local.standard_normal(40) + 1j * local.standard_normal(40)
+    closure = build_model(RfdeSystem([[-2.0, 0.0], [0.0, -0.9]],
+                                     [[-1.0, 0.0], [-1.0, -1.0]], 6.1726),
+                          "legendre", 20).A
+    results = []
+    for on_scipy in (False, True):
+        if on_scipy:
+            use_scipy_lapack(monkeypatch)
+        LU, piv, info = lkapprox.linalg._getrf(M)
+        x = lkapprox.linalg._getrs(LU, piv, b)
+        assert info == 0
+        assert np.linalg.norm(M @ x - b) <= 1e-13 * np.linalg.norm(M, 1) * np.linalg.norm(x)
+        results.append(lkapprox.linalg._certify_unstable(closure, np.sqrt(0.19)))
+    (bound, steps), (fallback, fallback_steps) = results
+    assert steps == fallback_steps and abs(bound - fallback) <= 1e-12
+    assert bound > 0.0
 
 
 def test_eigenvalues_raise_on_failed_iteration(monkeypatch):
-    # A nonzero info from dgeev, or NumPy's LinAlgError in the fallback, is
-    # a ConvergenceError.
-    A = np.array([[1.0, 2.0], [0.0, 3.0]])
-    monkeypatch.setattr(lkapprox.linalg, "_geev",
-                        lambda A: (np.zeros(len(A)), np.zeros(len(A)), 2))
-    with pytest.raises(lkapprox.linalg.ConvergenceError, match="info=2"):
-        eigenvalues(A)
-
+    # NumPy's LinAlgError is a ConvergenceError.
     def diverging(A):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvals", diverging)
-    monkeypatch.setattr(lkapprox.linalg, "_geev", lkapprox.linalg._numpy_geev)
-    with pytest.raises(lkapprox.linalg.ConvergenceError, match="info=1"):
-        eigenvalues(A)
+    with pytest.raises(lkapprox.linalg.ConvergenceError, match="did not converge"):
+        eigenvalues(np.array([[1.0, 2.0], [0.0, 3.0]]))
 
 
 def test_expm_pade13_per_matrix_scaling_against_mpmath():
