@@ -106,30 +106,63 @@ def build_functional(system, weights, scheme="legendre", N=20, *,
     allow_incomplete : bool
         Waive the complete-type requirement Q0 > 0, Q1 > 0, Q2 >= 0.
     """
-    _check_dimensions(system, weights)
+    return _build_pass([system], weights, scheme, N, allow_incomplete=allow_incomplete)[0]
+
+
+def _stack(matrices):
+    """The (k, d, d) stack of `matrices`, or for k = 1 the one matrix itself:
+    a pass over one point makes the calls of a lone build, on matrices."""
+    return matrices[0] if len(matrices) == 1 else np.array(matrices)
+
+
+def _build_pass(systems, weights, scheme="legendre", N=20, *, allow_incomplete=False):
+    """`build_functional` at each system of `systems`, which differ only in
+    the delay h, in one stage-major pass.
+
+    Each closure comes from `build_model`; one `solve_lyapunov` of the
+    stack then runs every point's Schur factorization before any point's
+    triangular solve, the mass terms are added point by point, and one
+    eigvalsh of the stack of P gives every psd verdict.  Each point's
+    record has the bits a lone build gives it.  A point that fails raises
+    for the whole pass.
+    """
+    for system in systems:
+        _check_dimensions(system, weights)
     if not allow_incomplete and not weights.is_complete():
         raise ValueError(
             "weights do not satisfy the complete-type contract "
             "(Q0 > 0, Q1 > 0, Q2 >= 0); pass allow_incomplete=True to waive"
         )
 
-    model = build_model(system, scheme, N)
-    e_e = np.outer(model.e, model.e)
-    sol = solve_lyapunov(model.A, _kron(e_e, weights.combined(system.h)))
-    P = sol.P + _kron(model.M1, weights.Q1)
-    if np.any(weights.Q2):
-        P = P + _kron(model.M2, weights.Q2)
-    P.setflags(write=False)
+    models = [build_model(system, scheme, N) for system in systems]
+    A = _stack([model.A for model in models])
+    e_e = np.outer(models[0].e, models[0].e)
+    has_q2 = np.any(weights.Q2)
+    if has_q2:
+        Q = _stack([_kron(e_e, weights.combined(system.h)) for system in systems])
+    else:   # the cost does not depend on h: one serves every point
+        Q = _kron(e_e, weights.combined(systems[0].h))
+    sol = solve_lyapunov(A, Q)
+    P = sol.P.reshape((len(models),) + A.shape[-2:])   # a view of sol.P
+    for Pk, model in zip(P, models):
+        Pk += _kron(model.M1, weights.Q1)
+        if has_q2:
+            Pk += _kron(model.M2, weights.Q2)
+    ews = np.linalg.eigvalsh(sol.P).reshape(P.shape[:-1])
+    max_res = sol.eigenvalues.real.max(axis=-1).reshape(-1)
 
-    max_re = float(np.max(sol.eigenvalues.real))
-    ew = np.linalg.eigvalsh(P)
-    lam_min, lam_max = float(ew[0]), float(ew[-1])
-    return FunctionalApprox(
-        scheme=scheme, system=system, weights=weights, N=model.N, model=model,
-        P=P, residual=sol.residual,
-        hurwitz=max_re < 0.0, max_re=max_re,
-        lam_min=lam_min, lam_max=lam_max, psd=_is_psd(lam_min, lam_max),
-    )
+    fas = []
+    for Pk, system, model, residual, max_re, ew in zip(
+            P, systems, models, np.reshape(sol.residual, -1), max_res.tolist(), ews):
+        Pk.setflags(write=False)
+        lam_min, lam_max = float(ew[0]), float(ew[-1])
+        fas.append(FunctionalApprox(
+            scheme=scheme, system=system, weights=weights, N=model.N, model=model,
+            P=Pk, residual=float(residual),
+            hurwitz=max_re < 0.0, max_re=max_re,
+            lam_min=lam_min, lam_max=lam_max, psd=_is_psd(lam_min, lam_max),
+        ))
+    return fas
 
 
 def evaluate(fa, phi):
@@ -151,13 +184,24 @@ def k1(fa, check_psd=True):
     history block is indefinite, as past the delay margin.  With check_psd
     a functional that fails its `psd` verdict raises ValueError instead.
     """
-    if check_psd and not fa.psd:
-        raise ValueError(
-            f"functional is indefinite (lam_min = {fa.lam_min:.3e}); "
-            "pass check_psd=False to evaluate anyway"
-        )
-    n = fa.system.n
-    return _lower_bound(_to_combined(fa.P, fa.model.e, n, rows=True), n)
+    return _k1_pass([fa], check_psd)[0]
+
+
+def _k1_pass(fas, check_psd=True):
+    """`k1` of each functional of `fas`, all of one order, in one
+    stage-major pass: every Cholesky factorization of a history block
+    first, then every condition estimate and triangular solve, then one
+    eigvalsh of the stack of complements (`linalg.schur_complement`)."""
+    for fa in fas:
+        if check_psd and not fa.psd:
+            raise ValueError(
+                f"functional is indefinite (lam_min = {fa.lam_min:.3e}); "
+                "pass check_psd=False to evaluate anyway"
+            )
+    n = fas[0].system.n
+    Pc = _stack([_to_combined(fa.P, fa.model.e, n, rows=True) for fa in fas])
+    bounds = _lower_bound(Pc, n)
+    return [bounds] if len(fas) == 1 else bounds
 
 
 def baseline_k1(system, weights, method="norm-ratio"):

@@ -400,6 +400,14 @@ def solve_lyapunov(A, Q):
     scale = max(1, ||Q||_F + 2 ||A||_F ||P||_F).  Returns
     LyapunovSolution(P, residual / scale, eigenvalues of A).
 
+    A may also be a stack of shape (k, d, d), and Q a stack like it or one
+    matrix for every member.  The stack is solved stage by stage: every
+    member's Schur factorization first, then every member's triangular
+    solve and residual gate.  Each member gets every check it gets alone,
+    the first member to fail one raises, and a member of a stack gets the
+    bits it gets alone.  P is then a (k, d, d) stack, the residual a (k,)
+    array and the eigenvalues a (k, d) array.
+
     Raises
     ------
     ConvergenceError
@@ -411,14 +419,32 @@ def solve_lyapunov(A, Q):
     NumericalFailureError
         If the residual gate fails, a NaN residual included.
     """
-    A = _as_square(A)
-    Q = _as_square(Q, "Q")
-    if Q.shape != A.shape:
+    A = _as_square(A, stacked=True)
+    Q = _as_square(Q, "Q", stacked=True)
+    if Q.shape not in (A.shape, A.shape[-2:]):
         raise DimensionError(f"A and Q dimensions differ: {A.shape} vs {Q.shape}")
-    q_norm = _symmetric_norm(Q, "Q")   # the solve and its gate use Q as given
+    As, Qs = A.reshape((-1,) + A.shape[-2:]), Q.reshape((-1,) + A.shape[-2:])
+    q_norms = [_symmetric_norm(M, "Q") for M in Qs]   # the solve and its gate use Q as given
+    if len(Qs) < len(As):   # one Q serves every member of A
+        Qs, q_norms = [Q] * len(As), q_norms * len(As)
 
     # P A + A^T P = -Q  is  (A^T) P + P (A^T)^T = -Q.
-    T, wr, wi, Z, info = _gees(A.T)
+    factors = [_schur_factor(M.T) for M in As]
+    lam = np.array([f[2] for f in factors])
+    solved = [_bartels_stewart(T, Z, M, W, q_norm)
+              for (T, Z, _), M, W, q_norm in zip(factors, As, Qs, q_norms)]
+    del factors   # the Schur factors are freed before the solutions are stacked
+    if A.ndim == 2:
+        (P, residual), = solved
+        return LyapunovSolution(P, residual, lam[0])
+    P, residuals = zip(*solved)
+    return LyapunovSolution(np.array(P), np.array(residuals), lam)
+
+
+def _schur_factor(At):
+    """(T, Z, eigenvalues) of At = Z T Z^T, after the singular-pairing check
+    of `solve_lyapunov`."""
+    T, wr, wi, Z, info = _gees(At)
     if info != 0:
         raise ConvergenceError(f"real Schur iteration did not converge (info={info})")
     lam = wr + 1j * wi
@@ -432,8 +458,13 @@ def solve_lyapunov(A, Q):
             "the Lyapunov operator is singular",
             pair=(complex(lam[i]), complex(lam[j])),
         )
+    return T, Z, lam
 
-    # The pair check above keeps the solver away from its perturbed (info = 1)
+
+def _bartels_stewart(T, Z, A, Q, q_norm):
+    """(P, residual / scale) of `solve_lyapunov` from the Schur factor
+    A^T = Z T Z^T, with its range check and residual gate."""
+    # The pair check keeps the solver away from its perturbed (info = 1)
     # branch, which needs a sum below machine precision times ||T||.
     Y, y_scale = _trsyl(T, T, Z.T.dot((-Q).dot(Z)))
     P = Z.dot(Y).dot(Z.T)
@@ -450,7 +481,7 @@ def solve_lyapunov(A, Q):
             f"Lyapunov residual {residual:.3e} exceeds 1e-9 * {scale:.3e}",
             residual=residual,
         )
-    return LyapunovSolution(P, residual / scale, lam)
+    return P, residual / scale
 
 
 def _is_psd(lam_min, lam_max):
@@ -469,26 +500,46 @@ def schur_complement(P, p):
     p * eps * lam_max(Z).  Where those eigenvalues fail the positivity rule
     lam_min(Z) >= -1e-8 max(|lam_min(Z)|, lam_max(Z), max |P_ij|), the form
     of P is unbounded below over the eliminated block for every value of
-    the rest, and every entry of the result is -inf.  P itself is not
-    tested for positivity.
+    the rest, and every entry of the result is -inf.  The eigenvalues of Z
+    alone (eigvalsh) come first: where lam_min(Z) falls below twice that
+    threshold, the result is -inf without the eigenvectors, since both
+    eigensolvers agree to O(p eps ||Z||), far inside the factor of 2.  P
+    itself is not tested for positivity.
+
+    P may also be a stack of shape (k, d, d), whose complements come back
+    as a (k, d - p, d - p) stack.  Every member's Cholesky factorization
+    comes first, then every member's condition estimate and triangular
+    solve, and a member of a stack gets the bits it gets alone.
     """
-    P = _as_square(P, "P")
-    d = P.shape[0]
+    P = _as_square(P, "P", stacked=True)
+    d = P.shape[-1]
     if not 0 <= p < d:
         raise DimensionError(f"block order p={p} must satisfy 0 <= p < {d}")
-    P = _symmetrized(P, "P")
+    Ps = P.reshape((-1, d, d))
+    for M in Ps:
+        _symmetric_norm(M, "P")
+    Ps = Ps + Ps.transpose(0, 2, 1)
+    Ps *= 0.5   # in place, the bits of 0.5 * (P + P^T) without a second stack
     if p == 0:
-        return P.copy()
+        return Ps.reshape(P.shape)
 
+    factors = []
+    for M in Ps:
+        try:
+            factors.append(np.linalg.cholesky(M[:p, :p]).T)   # Z = R^T R, R Fortran-ordered
+        except np.linalg.LinAlgError:
+            factors.append(None)
+    S = np.array([_complement(M, p, R) for M, R in zip(Ps, factors)])
+    return S.reshape(P.shape[:-2] + S.shape[-2:])
+
+
+def _complement(P, p, R):
+    """The complement of `schur_complement` for the symmetric matrix P,
+    from the Cholesky factor R of its leading block (None where dpotrf failed)."""
     Z = P[:p, :p]
     B = P[:p, p:]
     X = P[p:, p:]
-    try:
-        R = np.linalg.cholesky(Z).T   # Z = R^T R; the transpose is Fortran-ordered
-    except np.linalg.LinAlgError:
-        rcond = 0.0
-    else:
-        rcond = _pocon(R, float(np.abs(Z).sum(axis=0).max()))
+    rcond = 0.0 if R is None else _pocon(R, float(np.abs(Z).sum(axis=0).max()))
     if rcond > 1e-10:
         # G = R^-T B by level-2 dtrsv per column.  One level-3
         # solve_triangular saves only ~0.006 ms at d = 246 with n = 6 columns,
@@ -497,10 +548,14 @@ def schur_complement(P, p):
         G = _trsv(R, B)
         S = X - G.T @ G
     else:
-        zw, zV = np.linalg.eigh(Z)
         # Rounding in P leaves eigenvalues of Z of either sign at P's scale.
-        if not _is_psd(float(zw[0]), max(float(zw[-1]), float(np.abs(P).max()))):
-            return np.full((d - p, d - p), -np.inf)
+        top = float(np.abs(P).max())
+        zw = np.linalg.eigvalsh(Z)
+        if float(zw[0]) < -2e-8 * max(abs(float(zw[0])), float(zw[-1]), top):
+            return np.full((len(P) - p, len(P) - p), -np.inf)
+        zw, zV = np.linalg.eigh(Z)
+        if not _is_psd(float(zw[0]), max(float(zw[-1]), top)):
+            return np.full((len(P) - p, len(P) - p), -np.inf)
         cutoff = p * np.finfo(float).eps * max(float(zw[-1]), 0.0)
         inv = np.zeros_like(zw)
         keep = zw > cutoff
@@ -513,11 +568,17 @@ def schur_complement(P, p):
 def _lower_bound(P, n):
     """The largest k with k ||x||^2 <= [y; x]' P [y; x] for all y, x of order n
     (x is phi(0)): the least eigenvalue of the Schur complement eliminating y,
-    or -inf where its block is indefinite and the form has no lower bound."""
-    S = schur_complement(P, len(P) - n)
-    if S[0, 0] == -np.inf:
-        return -np.inf
-    return float(np.linalg.eigvalsh(S)[0])
+    or -inf where its block is indefinite and the form has no lower bound.
+
+    For a (k, d, d) stack P, the k values as a list, the least eigenvalues
+    from one eigvalsh of the stack of finite complements."""
+    S = schur_complement(P, P.shape[-1] - n)
+    if S.ndim == 2:
+        return -np.inf if S[0, 0] == -np.inf else float(np.linalg.eigvalsh(S)[0])
+    low = np.full(len(S), -np.inf)
+    live = S[:, 0, 0] != -np.inf
+    low[live] = np.linalg.eigvalsh(S[live])[:, 0]
+    return low.tolist()
 
 
 # Coefficients b_0..b_13 of the [13/13] Pade approximant of exp, and the

@@ -423,15 +423,16 @@ def test_sweep_records_failures_in_rows(tmp_path, capsys, monkeypatch):
         assert r[1] == "nan" and r[-1] != ""
 
     # One failing point of an h sweep: every column but the axis value, the
-    # psd verdict and the error reads nan, the baselines included.
-    build = cli.functional.build_functional
+    # psd verdict and the error reads nan, the baselines included.  The
+    # failing pass over all points is followed by one pass per point.
+    build = cli.functional._build_pass
 
-    def failing_build(system, *args, **kwargs):
-        if system.h == 2.0:
+    def failing_build(systems, *args, **kwargs):
+        if any(system.h == 2.0 for system in systems):
             raise ValueError("no build at h = 2")
-        return build(system, *args, **kwargs)
+        return build(systems, *args, **kwargs)
 
-    monkeypatch.setattr(cli.functional, "build_functional", failing_build)
+    monkeypatch.setattr(cli.functional, "_build_pass", failing_build)
     code, out = run(capsys, "sweep", "--config", "example2",
                     "--axis", "h", "--range", "1:3", "--steps", "3")
     assert code == cli.EXIT_NUMERIC
@@ -442,6 +443,47 @@ def test_sweep_records_failures_in_rows(tmp_path, capsys, monkeypatch):
                        "ValueError: no build at h = 2"]
     for r in (rows[0], rows[2]):
         assert r[3] == "true" and r[-1] == "" and "nan" not in r
+
+
+@pytest.mark.parametrize("scheme", ["legendre", "cheb"])
+def test_sweep_h_rows_equal_lone_builds(capsys, scheme):
+    # The one pass over an h sweep across the margin (~6.17) writes, for
+    # each point, the cells of that point's lone build and k1; every
+    # wall_time_ms is the pass's time split evenly.
+    code, out = run(capsys, "sweep", "--config", "example2", "--scheme", scheme,
+                    "-N", "16", "--axis", "h", "--range", "4:8", "--steps", "9")
+    assert code == cli.EXIT_OK
+    header, rows = parse_csv(out)
+    cfg = cli._load_config("example2")
+    for row in rows:
+        cells = dict(zip(header, row))
+        system = lkapprox.RfdeSystem(cfg.system.A0, cfg.system.A1, float(cells["h"]))
+        fa = lkapprox.build_functional(system, cfg.weights, scheme, 16)
+        assert cells["k1"] == cli._fmt(lkapprox.k1(fa, check_psd=False))
+        assert cells["max_re"] == cli._fmt(fa.max_re)
+        assert cells["psd"] == ("true" if fa.psd else "false")
+        assert cells["residual"] == cli._fmt(fa.residual)
+    assert "-inf" in [r[1] for r in rows] and rows[0][1] != "-inf"
+    assert len({r[5] for r in rows}) == 1
+
+
+def test_sweep_h_splits_into_passes_within_their_bytes(capsys, monkeypatch):
+    # A pass holds a stack of order-d matrices per stage, so the points of
+    # an h sweep split evenly into the fewest passes that keep a stack
+    # within cli._PASS_BYTES: 18 points at d = 42, 2 at d = 122 and 1 at
+    # d = 242, where each point is built alone.
+    sizes = []
+    build = cli.functional._build_pass
+    monkeypatch.setattr(cli.functional, "_build_pass",
+                        lambda systems, *args, **kwargs: sizes.append(len(systems))
+                        or build(systems, *args, **kwargs))
+    for N, steps, expected in ((20, 40, [14, 14, 12]), (60, 5, [2, 2, 1]),
+                               (120, 2, [1, 1])):
+        sizes.clear()
+        code, out = run(capsys, "sweep", "--config", "example2", "-N", str(N),
+                        "--axis", "h", "--range", "1:9", "--steps", str(steps))
+        assert code == cli.EXIT_OK and len(parse_csv(out)[1]) == steps
+        assert sizes == expected, N
 
 
 def test_sweep_h_failing_baseline_reads_nan(tmp_path, capsys):

@@ -17,6 +17,7 @@ from numpy.polynomial.legendre import legvander
 import lkapprox.discretize
 import lkapprox.functional
 import lkapprox.linalg
+import lkapprox.spectral
 from helpers import (
     kron_closure,
     kron_cost,
@@ -498,6 +499,10 @@ def test_build_k1_factors_each_symmetric_matrix_once(monkeypatch, scheme):
     system = random_stable_rfde(local, 6)
     w = CostWeights(np.eye(6), np.eye(6), 0.3 * np.eye(6))
     counts = {"solve": 0}
+    # The Legendre build's cached grid map takes one solve the first time
+    # its order is built; it is built here first, so the count does not
+    # depend on which tests ran before.
+    lkapprox.spectral._unit_leg_cheb(40)
     _count_calls(monkeypatch, counts, "solve", np.linalg, "solve")
     fa = build_functional(system, w, scheme, 40)
     shapes = []
@@ -1224,3 +1229,80 @@ def test_k1_near_margin_accuracy_floor_scipy_fallback(monkeypatch, seed, N):
     for frac, bound in _NEAR_MARGIN_BOUNDS:
         got, ref = _near_margin_k1(*_large_base_system(frac * _LARGE_MARGIN, seed), N)
         assert abs(got - ref) <= bound * abs(ref), frac
+
+
+# The base system and weights of the benchmark's sweep-small workload: its
+# 40-point sweep over [0.5, 9.5] at N = 20 crosses example 2's margin.
+_SWEEP_SMALL_WEIGHTS = CostWeights(np.diag([1.0, 1.5]), np.diag([1.2, 1.0]), np.zeros((2, 2)))
+_SWEEP_SMALL_H = np.linspace(0.5, 9.5, 40)
+
+
+def _sweep_systems(ex2_system, hs):
+    return [RfdeSystem(ex2_system.A0, ex2_system.A1, float(h)) for h in hs]
+
+
+@pytest.mark.parametrize("scheme", ["legendre", "cheb"])
+def test_build_pass_runs_stage_major(monkeypatch, ex2_system, scheme):
+    # A K-point pass makes K Schur factorizations and K triangular solves,
+    # every factorization before any solve.
+    calls = []
+    gees, trsyl = lkapprox.linalg._gees, lkapprox.linalg._trsyl
+    monkeypatch.setattr(lkapprox.linalg, "_gees",
+                        lambda *args: calls.append("gees") or gees(*args))
+    monkeypatch.setattr(lkapprox.linalg, "_trsyl",
+                        lambda *args: calls.append("trsyl") or trsyl(*args))
+    systems = _sweep_systems(ex2_system, np.linspace(1.0, 8.0, 7))
+    fas = lkapprox.functional._build_pass(systems, _SWEEP_SMALL_WEIGHTS, scheme, 20)
+    assert calls == ["gees"] * 7 + ["trsyl"] * 7
+    assert [fa.system for fa in fas] == systems
+
+
+@pytest.mark.parametrize("q2", [0.0, 0.3])
+@pytest.mark.parametrize("scheme", ["legendre", "cheb"])
+def test_build_pass_points_equal_lone_builds(ex2_system, scheme, q2):
+    # Across the margin, every record of a pass and its k1 hold the bits of
+    # the point's lone build_functional and k1.
+    weights = dataclasses.replace(_SWEEP_SMALL_WEIGHTS, Q2=q2 * np.eye(2))
+    systems = _sweep_systems(ex2_system, _SWEEP_SMALL_H[::3])
+    fas = lkapprox.functional._build_pass(systems, weights, scheme, 20)
+    bounds = lkapprox.functional._k1_pass(fas, check_psd=False)
+    assert -np.inf in bounds and np.isfinite(bounds[0])
+    for fa, bound, system in zip(fas, bounds, systems):
+        solo = build_functional(system, weights, scheme, 20)
+        assert np.array_equal(fa.P, solo.P) and not fa.P.flags.writeable
+        for field in ("residual", "hurwitz", "max_re", "lam_min", "lam_max", "psd"):
+            assert getattr(fa, field) == getattr(solo, field), field
+        assert bound == k1(solo, check_psd=False)
+
+
+def test_no_eigh_past_the_margin(monkeypatch, ex2_system):
+    # The 15 points of the sweep-small sweep past the delay margin have an
+    # indefinite history block far past the psd threshold: eigvalsh alone
+    # rules their k1 -inf, without an eigendecomposition.
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda S: calls.append(S.shape) or eigh(S))
+    fas = lkapprox.functional._build_pass(_sweep_systems(ex2_system, _SWEEP_SMALL_H),
+                                          _SWEEP_SMALL_WEIGHTS, "legendre", 20)
+    bounds = lkapprox.functional._k1_pass(fas, check_psd=False)
+    assert bounds.count(-np.inf) == 15 and calls == []
+
+
+@pytest.mark.parametrize("scheme", ["legendre", "cheb"])
+def test_k1_across_the_margin_as_with_eigh_alone(monkeypatch, ex2_system, scheme):
+    # The eigvalsh screen of the history block changes no k1: with it made
+    # to pass every block on to eigh, the rule of eigh alone, each k1 of a
+    # sweep across the margin is the same.
+    systems = _sweep_systems(ex2_system, _SWEEP_SMALL_H)
+    fas = lkapprox.functional._build_pass(systems, _SWEEP_SMALL_WEIGHTS, scheme, 20)
+    screened = lkapprox.functional._k1_pass(fas, check_psd=False)
+    eigvalsh = np.linalg.eigvalsh
+    d = fas[0].P.shape[0]
+
+    def unscreened(M, *args, **kwargs):
+        w = eigvalsh(M, *args, **kwargs)
+        return np.zeros_like(w) if M.shape == (d - 2, d - 2) else w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", unscreened)
+    assert lkapprox.functional._k1_pass(fas, check_psd=False) == screened
+    assert screened.count(-np.inf) == 15

@@ -599,3 +599,117 @@ def test_expm_pade13_per_matrix_scaling_against_mpmath():
         for a, e in zip(stack, E):
             ref = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
             npt.assert_allclose(e, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def _same_bits(X, Y):
+    """Equal shapes, entries and sign bits, so -0.0 and +0.0 differ; complex
+    arrays are compared by their real and imaginary parts."""
+    X, Y = (np.ascontiguousarray(M) for M in (X, Y))
+    if np.iscomplexobj(X) or np.iscomplexobj(Y):
+        X, Y = X.view(np.float64), Y.view(np.float64)
+    return (X.shape == Y.shape and np.array_equal(X, Y)
+            and np.array_equal(np.signbit(X), np.signbit(Y)))
+
+
+@pytest.mark.parametrize("on_scipy", [False, True], ids=["bound", "scipy"])
+@pytest.mark.parametrize("N", [20, 40], ids=["d42", "d82"])
+def test_solve_lyapunov_stack_members_get_their_solo_bits(monkeypatch, ex2_system,
+                                                          on_scipy, N):
+    # d = 42 is below dtrsyl3's least block order of 48, where it makes one
+    # dtrsyl call; d = 82 is solved in blocks.  Each member of a stack of
+    # both closures' builds, across example 2's delay margin (~6.17), gets
+    # the P, residual and eigenvalues a lone solve gives it, with a cost of
+    # its own or with one cost shared by every member.
+    if on_scipy:
+        use_scipy_lapack(monkeypatch)
+    weights = CostWeights(np.diag([1.0, 1.5]), np.diag([1.2, 1.0]), 0.3 * np.eye(2))
+    for build in (build_leg_model, build_cheb_model):
+        models = [build(RfdeSystem(ex2_system.A0, ex2_system.A1, h), N)
+                  for h in (0.5, 3.0, 6.0, 6.5, 9.5)]
+        A = np.array([m.A for m in models])
+        Q = np.array([np.kron(np.outer(m.e, m.e), weights.combined(m.system.h))
+                      for m in models])
+        stack = solve_lyapunov(A, Q)
+        assert stack.P.shape == A.shape and stack.residual.shape == (len(A),)
+        assert stack.eigenvalues.shape == A.shape[:2]
+        shared = solve_lyapunov(A, Q[0])   # one Q for every member
+        for k, (a, q) in enumerate(zip(A, Q)):
+            for sol, cost in ((stack, q), (shared, Q[0])):
+                solo = solve_lyapunov(a, cost)
+                assert _same_bits(sol.P[k], solo.P)
+                assert sol.residual[k] == solo.residual
+                assert _same_bits(sol.eigenvalues[k], solo.eigenvalues)
+
+
+def test_solve_lyapunov_stack_checks_every_member():
+    # The checks of a lone solve hold member by member: the singular member
+    # raises though the others are fine, and so does an asymmetric Q.
+    A = np.array([-np.eye(2), np.diag([1.0, -1.0]), -2.0 * np.eye(2)])
+    Q = np.array([np.eye(2)] * 3)
+    with pytest.raises(SingularOperatorError):
+        solve_lyapunov(A, Q)
+    Q[2, 0, 1] = 0.5
+    with pytest.raises(ValueError, match="not symmetric"):
+        solve_lyapunov(-np.abs(A), Q)
+    with pytest.raises(DimensionError):
+        solve_lyapunov(A, Q[:2])
+    with pytest.raises(DimensionError):
+        solve_lyapunov(A[0], Q[:1])
+
+
+def test_schur_complement_stack_members_get_their_solo_bits(monkeypatch):
+    # A stack of a well-conditioned, a singular (eigen branch) and an
+    # indefinite leading block: each member's complement is its lone one,
+    # -inf included, and every Cholesky factorization comes before any
+    # condition estimate.
+    local = np.random.default_rng(41)
+    G = local.standard_normal((6, 6))
+    well = G @ G.T + np.eye(6)
+    singular = np.zeros((6, 6))
+    keep = np.ix_([0, 4, 5], [0, 4, 5])
+    singular[keep] = well[keep]
+    indefinite = well - 40.0 * np.diag([1.0, 0, 0, 0, 0, 0])
+    stack = np.array([well, singular, indefinite])
+    solo = [schur_complement(P, 4) for P in stack]
+    order = []
+    cholesky, pocon = np.linalg.cholesky, lkapprox.linalg._pocon
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda Z: order.append("cholesky") or cholesky(Z))
+    monkeypatch.setattr(lkapprox.linalg, "_pocon",
+                        lambda *args: order.append("pocon") or pocon(*args))
+    S = schur_complement(stack, 4)
+    assert order[:3] == ["cholesky"] * 3 and set(order[3:]) <= {"pocon"}
+    assert S.shape == (3, 2, 2)
+    assert np.all(S[2] == -np.inf) and np.all(np.isfinite(S[:2]))
+    for s, ref in zip(S, solo):
+        assert _same_bits(s, ref)
+    bounds = lkapprox.linalg._lower_bound(stack, 2)
+    assert bounds == [lkapprox.linalg._lower_bound(P, 2) for P in stack]
+    assert bounds[2] == -np.inf
+
+
+def _band_matrix(lam_min):
+    """P = [[Z, B], [B^T, I]] with Z of order 3 whose least eigenvalue is
+    lam_min, largest 1, and max |P_ij| = 1: the psd threshold of Z is 1e-8."""
+    U, _ = np.linalg.qr(np.random.default_rng(43).standard_normal((3, 3)))
+    Z = (U * np.array([lam_min, 0.5, 1.0])) @ U.T
+    Z = 0.5 * (Z + Z.T)
+    B = 0.1 * (Z @ np.ones((3, 2)))
+    P = np.block([[Z, B], [B.T, np.eye(2)]])
+    assert np.abs(P).max() <= 1.0
+    return P
+
+
+@pytest.mark.parametrize("lam_min, eigh_calls, indefinite", [
+    (-3e-8, 0, True),      # past twice the threshold: eigvalsh decides alone
+    (-1.5e-8, 1, True),    # inside the band: eigh decides, as before
+    (-0.5e-8, 1, False),   # within the threshold: eigh, then the pseudo-inverse
+])
+def test_schur_complement_eigh_only_inside_the_band(monkeypatch, lam_min, eigh_calls,
+                                                    indefinite):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda S: calls.append(S.shape) or eigh(S))
+    S = schur_complement(_band_matrix(lam_min), 3)
+    assert len(calls) == eigh_calls
+    assert np.all(S == -np.inf) if indefinite else np.all(np.isfinite(S))
