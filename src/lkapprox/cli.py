@@ -344,10 +344,10 @@ def _parse_range(text):
 
 
 def _sweep_pass(cfg, scheme, axis, values, N_fixed):
-    """The cells of the sweep points `values` from one stage-major pass
-    (`functional._build_pass`, then `functional._k1_pass`); each point's
-    wall_time_ms is the pass's time split evenly over its points.  Orders
-    differ in size, so an N pass has one point."""
+    """The cells of the sweep points `values` from one stage-major build
+    (`functional._build_pass`) and each point's `functional.k1`; each
+    point's wall_time_ms is the time of both split evenly over the points.
+    Orders differ in size, so an N pass has one point."""
     t0 = time.perf_counter()
     if axis == "N":
         (N,) = values
@@ -358,7 +358,7 @@ def _sweep_pass(cfg, scheme, axis, values, N_fixed):
         N = N_fixed
     fas = functional._build_pass(systems, cfg.weights, scheme=scheme, N=N,
                                  allow_incomplete=cfg.allow_incomplete)
-    bounds = functional._k1_pass(fas, check_psd=False)
+    bounds = [functional.k1(fa, check_psd=False) for fa in fas]
     wall_ms = _fmt(1e3 * (time.perf_counter() - t0) / len(values))
     return [{
         "k1": _fmt(bound),

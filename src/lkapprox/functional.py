@@ -184,24 +184,13 @@ def k1(fa, check_psd=True):
     history block is indefinite, as past the delay margin.  With check_psd
     a functional that fails its `psd` verdict raises ValueError instead.
     """
-    return _k1_pass([fa], check_psd)[0]
-
-
-def _k1_pass(fas, check_psd=True):
-    """`k1` of each functional of `fas`, all of one order, in one
-    stage-major pass: every Cholesky factorization of a history block
-    first, then every condition estimate and triangular solve, then one
-    eigvalsh of the stack of complements (`linalg.schur_complement`)."""
-    for fa in fas:
-        if check_psd and not fa.psd:
-            raise ValueError(
-                f"functional is indefinite (lam_min = {fa.lam_min:.3e}); "
-                "pass check_psd=False to evaluate anyway"
-            )
-    n = fas[0].system.n
-    Pc = _stack([_to_combined(fa.P, fa.model.e, n, rows=True) for fa in fas])
-    bounds = _lower_bound(Pc, n)
-    return [bounds] if len(fas) == 1 else bounds
+    if check_psd and not fa.psd:
+        raise ValueError(
+            f"functional is indefinite (lam_min = {fa.lam_min:.3e}); "
+            "pass check_psd=False to evaluate anyway"
+        )
+    n = fa.system.n
+    return _lower_bound(_to_combined(fa.P, fa.model.e, n, rows=True), n)
 
 
 def baseline_k1(system, weights, method="norm-ratio"):

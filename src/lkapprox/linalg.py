@@ -505,41 +505,24 @@ def schur_complement(P, p):
     threshold, the result is -inf without the eigenvectors, since both
     eigensolvers agree to O(p eps ||Z||), far inside the factor of 2.  P
     itself is not tested for positivity.
-
-    P may also be a stack of shape (k, d, d), whose complements come back
-    as a (k, d - p, d - p) stack.  Every member's Cholesky factorization
-    comes first, then every member's condition estimate and triangular
-    solve, and a member of a stack gets the bits it gets alone.
     """
-    P = _as_square(P, "P", stacked=True)
-    d = P.shape[-1]
+    P = _as_square(P, "P")
+    d = P.shape[0]
     if not 0 <= p < d:
         raise DimensionError(f"block order p={p} must satisfy 0 <= p < {d}")
-    Ps = P.reshape((-1, d, d))
-    for M in Ps:
-        _symmetric_norm(M, "P")
-    Ps = Ps + Ps.transpose(0, 2, 1)
-    Ps *= 0.5   # in place, the bits of 0.5 * (P + P^T) without a second stack
+    P = _symmetrized(P, "P")
     if p == 0:
-        return Ps.reshape(P.shape)
+        return P
 
-    factors = []
-    for M in Ps:
-        try:
-            factors.append(np.linalg.cholesky(M[:p, :p]).T)   # Z = R^T R, R Fortran-ordered
-        except np.linalg.LinAlgError:
-            factors.append(None)
-    S = np.array([_complement(M, p, R) for M, R in zip(Ps, factors)])
-    return S.reshape(P.shape[:-2] + S.shape[-2:])
-
-
-def _complement(P, p, R):
-    """The complement of `schur_complement` for the symmetric matrix P,
-    from the Cholesky factor R of its leading block (None where dpotrf failed)."""
     Z = P[:p, :p]
     B = P[:p, p:]
     X = P[p:, p:]
-    rcond = 0.0 if R is None else _pocon(R, float(np.abs(Z).sum(axis=0).max()))
+    try:
+        R = np.linalg.cholesky(Z).T   # Z = R^T R; the transpose is Fortran-ordered
+    except np.linalg.LinAlgError:
+        rcond = 0.0
+    else:
+        rcond = _pocon(R, float(np.abs(Z).sum(axis=0).max()))
     if rcond > 1e-10:
         # G = R^-T B by level-2 dtrsv per column.  One level-3
         # solve_triangular saves only ~0.006 ms at d = 246 with n = 6 columns,
@@ -552,10 +535,10 @@ def _complement(P, p, R):
         top = float(np.abs(P).max())
         zw = np.linalg.eigvalsh(Z)
         if float(zw[0]) < -2e-8 * max(abs(float(zw[0])), float(zw[-1]), top):
-            return np.full((len(P) - p, len(P) - p), -np.inf)
+            return np.full((d - p, d - p), -np.inf)
         zw, zV = np.linalg.eigh(Z)
         if not _is_psd(float(zw[0]), max(float(zw[-1]), top)):
-            return np.full((len(P) - p, len(P) - p), -np.inf)
+            return np.full((d - p, d - p), -np.inf)
         cutoff = p * np.finfo(float).eps * max(float(zw[-1]), 0.0)
         inv = np.zeros_like(zw)
         keep = zw > cutoff
@@ -568,17 +551,11 @@ def _complement(P, p, R):
 def _lower_bound(P, n):
     """The largest k with k ||x||^2 <= [y; x]' P [y; x] for all y, x of order n
     (x is phi(0)): the least eigenvalue of the Schur complement eliminating y,
-    or -inf where its block is indefinite and the form has no lower bound.
-
-    For a (k, d, d) stack P, the k values as a list, the least eigenvalues
-    from one eigvalsh of the stack of finite complements."""
-    S = schur_complement(P, P.shape[-1] - n)
-    if S.ndim == 2:
-        return -np.inf if S[0, 0] == -np.inf else float(np.linalg.eigvalsh(S)[0])
-    low = np.full(len(S), -np.inf)
-    live = S[:, 0, 0] != -np.inf
-    low[live] = np.linalg.eigvalsh(S[live])[:, 0]
-    return low.tolist()
+    or -inf where its block is indefinite and the form has no lower bound."""
+    S = schur_complement(P, len(P) - n)
+    if S[0, 0] == -np.inf:
+        return -np.inf
+    return float(np.linalg.eigvalsh(S)[0])
 
 
 # Coefficients b_0..b_13 of the [13/13] Pade approximant of exp, and the

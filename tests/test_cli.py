@@ -467,6 +467,21 @@ def test_sweep_h_rows_equal_lone_builds(capsys, scheme):
     assert len({r[5] for r in rows}) == 1
 
 
+def test_sweep_h_takes_k1_once_per_row(capsys, monkeypatch):
+    # Each point of an h sweep takes its k1 from one lone functional.k1,
+    # looked up on the module, across the margin and over several passes.
+    calls = []
+    k1 = cli.functional.k1
+    monkeypatch.setattr(cli.functional, "k1",
+                        lambda fa, **kwargs: calls.append(fa.system.h) or k1(fa, **kwargs))
+    code, out = run(capsys, "sweep", "--config", "example2", "--axis", "h",
+                    "--range", "0.5:9.5", "--steps", "40")
+    assert code == cli.EXIT_OK
+    _, rows = parse_csv(out)
+    assert [cli._fmt(h) for h in calls] == [r[0] for r in rows]
+    assert "-inf" in [r[1] for r in rows]
+
+
 def test_sweep_h_splits_into_passes_within_their_bytes(capsys, monkeypatch):
     # A pass holds a stack of order-d matrices per stage, so the points of
     # an h sweep split evenly into the fewest passes that keep a stack

@@ -1265,7 +1265,7 @@ def test_build_pass_points_equal_lone_builds(ex2_system, scheme, q2):
     weights = dataclasses.replace(_SWEEP_SMALL_WEIGHTS, Q2=q2 * np.eye(2))
     systems = _sweep_systems(ex2_system, _SWEEP_SMALL_H[::3])
     fas = lkapprox.functional._build_pass(systems, weights, scheme, 20)
-    bounds = lkapprox.functional._k1_pass(fas, check_psd=False)
+    bounds = [k1(fa, check_psd=False) for fa in fas]
     assert -np.inf in bounds and np.isfinite(bounds[0])
     for fa, bound, system in zip(fas, bounds, systems):
         solo = build_functional(system, weights, scheme, 20)
@@ -1284,7 +1284,7 @@ def test_no_eigh_past_the_margin(monkeypatch, ex2_system):
     monkeypatch.setattr(np.linalg, "eigh", lambda S: calls.append(S.shape) or eigh(S))
     fas = lkapprox.functional._build_pass(_sweep_systems(ex2_system, _SWEEP_SMALL_H),
                                           _SWEEP_SMALL_WEIGHTS, "legendre", 20)
-    bounds = lkapprox.functional._k1_pass(fas, check_psd=False)
+    bounds = [k1(fa, check_psd=False) for fa in fas]
     assert bounds.count(-np.inf) == 15 and calls == []
 
 
@@ -1295,7 +1295,7 @@ def test_k1_across_the_margin_as_with_eigh_alone(monkeypatch, ex2_system, scheme
     # sweep across the margin is the same.
     systems = _sweep_systems(ex2_system, _SWEEP_SMALL_H)
     fas = lkapprox.functional._build_pass(systems, _SWEEP_SMALL_WEIGHTS, scheme, 20)
-    screened = lkapprox.functional._k1_pass(fas, check_psd=False)
+    screened = [k1(fa, check_psd=False) for fa in fas]
     eigvalsh = np.linalg.eigvalsh
     d = fas[0].P.shape[0]
 
@@ -1304,5 +1304,5 @@ def test_k1_across_the_margin_as_with_eigh_alone(monkeypatch, ex2_system, scheme
         return np.zeros_like(w) if M.shape == (d - 2, d - 2) else w
 
     monkeypatch.setattr(np.linalg, "eigvalsh", unscreened)
-    assert lkapprox.functional._k1_pass(fas, check_psd=False) == screened
+    assert [k1(fa, check_psd=False) for fa in fas] == screened
     assert screened.count(-np.inf) == 15

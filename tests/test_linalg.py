@@ -71,6 +71,9 @@ def test_eigenvalues_transpose_agreement():
 def test_eigenvalues_rejects_nonsquare():
     with pytest.raises(DimensionError):
         eigenvalues(np.ones((2, 3)))
+    # schur_complement takes one matrix: a (k, d, d) stack is not one.
+    with pytest.raises(DimensionError):
+        schur_complement(np.array([np.eye(3)] * 2), 2)
 
 
 def test_rightmost_eigenvalue_matches_characteristic_root(ex1_system):
@@ -655,37 +658,6 @@ def test_solve_lyapunov_stack_checks_every_member():
         solve_lyapunov(A, Q[:2])
     with pytest.raises(DimensionError):
         solve_lyapunov(A[0], Q[:1])
-
-
-def test_schur_complement_stack_members_get_their_solo_bits(monkeypatch):
-    # A stack of a well-conditioned, a singular (eigen branch) and an
-    # indefinite leading block: each member's complement is its lone one,
-    # -inf included, and every Cholesky factorization comes before any
-    # condition estimate.
-    local = np.random.default_rng(41)
-    G = local.standard_normal((6, 6))
-    well = G @ G.T + np.eye(6)
-    singular = np.zeros((6, 6))
-    keep = np.ix_([0, 4, 5], [0, 4, 5])
-    singular[keep] = well[keep]
-    indefinite = well - 40.0 * np.diag([1.0, 0, 0, 0, 0, 0])
-    stack = np.array([well, singular, indefinite])
-    solo = [schur_complement(P, 4) for P in stack]
-    order = []
-    cholesky, pocon = np.linalg.cholesky, lkapprox.linalg._pocon
-    monkeypatch.setattr(np.linalg, "cholesky",
-                        lambda Z: order.append("cholesky") or cholesky(Z))
-    monkeypatch.setattr(lkapprox.linalg, "_pocon",
-                        lambda *args: order.append("pocon") or pocon(*args))
-    S = schur_complement(stack, 4)
-    assert order[:3] == ["cholesky"] * 3 and set(order[3:]) <= {"pocon"}
-    assert S.shape == (3, 2, 2)
-    assert np.all(S[2] == -np.inf) and np.all(np.isfinite(S[:2]))
-    for s, ref in zip(S, solo):
-        assert _same_bits(s, ref)
-    bounds = lkapprox.linalg._lower_bound(stack, 2)
-    assert bounds == [lkapprox.linalg._lower_bound(P, 2) for P in stack]
-    assert bounds[2] == -np.inf
 
 
 def _band_matrix(lam_min):
