@@ -30,6 +30,7 @@ from .linalg import (
     _is_psd,
     _kron,
     _lower_bound,
+    _psd_verdict,
     is_hurwitz,
     solve_lyapunov,
 )
@@ -54,10 +55,14 @@ class FunctionalApprox:
     P is the grid-values matrix for the "cheb" scheme and the Legendre
     coefficient matrix for "legendre".  `residual` (gated by
     `solve_lyapunov`) and `hurwitz`/`max_re` come from the build's one
-    Lyapunov solve, the same solve for both schemes; `lam_min`/`lam_max` are
-    the extreme eigenvalues of P, and `psd` is the scale-free verdict
-    lam_min >= -1e-8 max(|lam_min|, |lam_max|), the rule `k1` also applies.
-    The record is frozen and P read-only: `k1` and `grid_matrix` compute anew.
+    Lyapunov solve, the same solve for both schemes.  `psd` is the
+    scale-free verdict lam_min >= -1e-8 max(|lam_min|, |lam_max|), the rule
+    `k1` also applies, decided at build by `linalg._psd_verdict`: a Cholesky
+    factorization of P that completes, else the rule on eigvalsh(P).
+    `lam_min`/`lam_max`, the extreme eigenvalues of P, are read-only
+    properties: one eigvalsh(P) on the first read gives both, unless the
+    verdict already took it.  The record is frozen and P read-only: `k1`
+    and `grid_matrix` compute anew.
     """
 
     scheme: str
@@ -69,9 +74,25 @@ class FunctionalApprox:
     residual: float
     hurwitz: bool
     max_re: float
-    lam_min: float
-    lam_max: float
     psd: bool
+    # (lam_min, lam_max) once computed; eigvalsh(P) fills it on first read.
+    _extremes: tuple = dataclasses.field(default=None, init=False, repr=False)
+
+    def _eigen_extremes(self):
+        if self._extremes is None:
+            w = np.linalg.eigvalsh(self.P)
+            object.__setattr__(self, "_extremes", (float(w[0]), float(w[-1])))
+        return self._extremes
+
+    @property
+    def lam_min(self):
+        """Least eigenvalue of P."""
+        return self._eigen_extremes()[0]
+
+    @property
+    def lam_max(self):
+        """Largest eigenvalue of P."""
+        return self._eigen_extremes()[1]
 
     def grid_matrix(self):
         """P expressed on the Chebyshev value grid (both schemes)."""
@@ -121,8 +142,9 @@ def _build_pass(systems, weights, scheme="legendre", N=20, *, allow_incomplete=F
 
     Each closure comes from `build_model`; one `solve_lyapunov` of the
     stack then runs every point's Schur factorization before any point's
-    triangular solve, the mass terms are added point by point, and one
-    eigvalsh of the stack of P gives every psd verdict.  Each point's
+    triangular solve, the mass terms are added point by point, and each
+    point's psd verdict is `linalg._psd_verdict` of its P: one Cholesky
+    factorization, and the eigenvalue rule only where that fails.  Each point's
     record has the bits a lone build gives it.  A point that fails raises
     for the whole pass.
     """
@@ -148,20 +170,20 @@ def _build_pass(systems, weights, scheme="legendre", N=20, *, allow_incomplete=F
         Pk += _kron(model.M1, weights.Q1)
         if has_q2:
             Pk += _kron(model.M2, weights.Q2)
-    ews = np.linalg.eigvalsh(sol.P).reshape(P.shape[:-1])
     max_res = sol.eigenvalues.real.max(axis=-1).reshape(-1)
 
     fas = []
-    for Pk, system, model, residual, max_re, ew in zip(
-            P, systems, models, np.reshape(sol.residual, -1), max_res.tolist(), ews):
+    for Pk, system, model, residual, max_re in zip(
+            P, systems, models, np.reshape(sol.residual, -1), max_res.tolist()):
         Pk.setflags(write=False)
-        lam_min, lam_max = float(ew[0]), float(ew[-1])
-        fas.append(FunctionalApprox(
+        psd, extremes = _psd_verdict(Pk)
+        fa = FunctionalApprox(
             scheme=scheme, system=system, weights=weights, N=model.N, model=model,
             P=Pk, residual=float(residual),
-            hurwitz=max_re < 0.0, max_re=max_re,
-            lam_min=lam_min, lam_max=lam_max, psd=_is_psd(lam_min, lam_max),
-        ))
+            hurwitz=max_re < 0.0, max_re=max_re, psd=psd,
+        )
+        object.__setattr__(fa, "_extremes", extremes)
+        fas.append(fa)
     return fas
 
 

@@ -395,7 +395,9 @@ def solve_lyapunov(A, Q):
     routines come from SciPy.  Y is not assumed symmetric: taking
     Y21 = Y12^T loses digits of k1 close to the delay margin.  The operator
     is singular exactly when two eigenvalues of A sum to zero, so that
-    pairing is checked first; afterwards the residual
+    pairing is checked first, screened by the sorted real parts so that the
+    d x d matrix of sums is formed only where two real parts nearly cancel
+    (`_schur_factor`); afterwards the residual
     ||P A + A^T P + Q||_F is gated at 1e-9 relative to
     scale = max(1, ||Q||_F + 2 ||A||_F ||P||_F).  Returns
     LyapunovSolution(P, residual / scale, eigenvalues of A).
@@ -443,16 +445,32 @@ def solve_lyapunov(A, Q):
 
 def _schur_factor(At):
     """(T, Z, eigenvalues) of At = Z T Z^T, after the singular-pairing check
-    of `solve_lyapunov`."""
+    of `solve_lyapunov`.
+
+    The check is screened in O(d log d) by the sorted real parts; only where
+    two of them sum to below the floor in magnitude are all d^2 sums formed,
+    and the rule, the message and the pair are those of the full check.
+    """
     T, wr, wi, Z, info = _gees(At)
     if info != 0:
         raise ConvergenceError(f"real Schur iteration did not converge (info={info})")
     lam = wr + 1j * wi
+    floor = 1e-10 * max(1.0, float(np.abs(lam).max()))
 
+    # |lam_i + lam_j| >= |Re lam_i + Re lam_j|, and for each real part the
+    # least such sum is with a sorted neighbour of its negative: where that
+    # bound clears the floor, so does every sum, and the d x d matrix of
+    # sums is not formed.
+    re = np.sort(wr)
+    k = np.searchsorted(re, -re)
+    near = np.minimum(np.abs(re + re[np.minimum(k, len(re) - 1)]),
+                      np.abs(re + re[np.maximum(k - 1, 0)]))
+    if float(near.min()) >= floor:
+        return T, Z, lam
     sums = np.abs(lam[:, None] + lam[None, :])
     i, j = np.unravel_index(int(np.argmin(sums)), sums.shape)
     gap = float(sums[i, j])
-    if gap < 1e-10 * max(1.0, float(np.abs(lam).max())):
+    if gap < floor:
         raise SingularOperatorError(
             f"eigenvalues {lam[i]:.6g} and {lam[j]:.6g} sum to {gap:.3e}; "
             "the Lyapunov operator is singular",
@@ -487,6 +505,34 @@ def _bartels_stewart(T, Z, A, Q, q_norm):
 def _is_psd(lam_min, lam_max):
     """The scale-free positivity verdict lam_min >= -1e-8 max(|lam_min|, |lam_max|)."""
     return lam_min >= -1e-8 * max(abs(lam_min), abs(lam_max))
+
+
+# The largest order d with d (d + 1) eps <= 1e-9, up to which a completed
+# Cholesky factorization proves `_is_psd` (see `_psd_verdict`).
+_CHOLESKY_MAX_ORDER = 2121
+
+
+def _psd_verdict(P):
+    """(psd, extremes): `_is_psd` of the symmetric matrix P, with extremes
+    (lam_min, lam_max) from eigvalsh(P) where they were computed, else None.
+
+    A Cholesky factorization that completes is exact for some P + dP with
+    ||dP||_2 <= d gamma_{d+1} ||P||_2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, Thm 10.3), below 1e-9 ||P||_2 up to
+    order `_CHOLESKY_MAX_ORDER`, so lam_min(P) lies far above the rule's
+    -1e-8 max(|lam_min|, |lam_max|) and P is psd.  Where the factorization
+    fails, or P is larger, the rule is applied to eigvalsh(P).
+    """
+    if len(P) <= _CHOLESKY_MAX_ORDER:
+        try:
+            np.linalg.cholesky(P)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return True, None
+    w = np.linalg.eigvalsh(P)
+    extremes = float(w[0]), float(w[-1])
+    return _is_psd(*extremes), extremes
 
 
 def schur_complement(P, p):

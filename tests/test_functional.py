@@ -1306,3 +1306,66 @@ def test_k1_across_the_margin_as_with_eigh_alone(monkeypatch, ex2_system, scheme
     monkeypatch.setattr(np.linalg, "eigvalsh", unscreened)
     assert [k1(fa, check_psd=False) for fa in fas] == screened
     assert screened.count(-np.inf) == 15
+
+
+def _count_order_eigvalsh(monkeypatch, d):
+    """A list that records each np.linalg.eigvalsh call on a d x d matrix."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(M, *args, **kwargs):
+        if np.shape(M)[-2:] == (d, d):
+            calls.append(np.shape(M))
+        return eigvalsh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("scheme", ["legendre", "cheb"])
+def test_lam_extremes_take_one_eigvalsh_when_read(monkeypatch, ex2_system, ex2_weights,
+                                                   scheme):
+    # A positive definite P is ruled psd by its Cholesky factorization, so
+    # the build runs no eigvalsh of P; the first read of lam_min runs one
+    # for both extremes, and later reads none.
+    calls = _count_order_eigvalsh(monkeypatch, 42)
+    fa = build_functional(ex2_system, ex2_weights, scheme, 20)
+    assert fa.psd and calls == []
+    lam_min, lam_max = fa.lam_min, fa.lam_max
+    assert (fa.lam_min, fa.lam_max) == (lam_min, lam_max) and len(calls) == 1
+    w = np.linalg.eigvalsh(fa.P)
+    assert (lam_min, lam_max) == (float(w[0]), float(w[-1])) and 0.0 < lam_min < lam_max
+
+
+@pytest.mark.parametrize("scheme", ["legendre", "cheb"])
+def test_indefinite_build_takes_its_one_eigvalsh_at_build(monkeypatch, ex2_system,
+                                                          ex2_weights, scheme):
+    # Where the factorization fails, the build's verdict takes eigvalsh(P),
+    # and the extremes it read are those lam_min/lam_max give.
+    calls = _count_order_eigvalsh(monkeypatch, 42)
+    fa = build_functional(dataclasses.replace(ex2_system, h=7.0), ex2_weights, scheme, 20)
+    assert not fa.psd and len(calls) == 1
+    assert fa.lam_min < 0.0 < fa.lam_max and len(calls) == 1
+    with pytest.raises(ValueError, match=re.escape(f"lam_min = {fa.lam_min:.3e}")):
+        k1(fa)
+    assert len(calls) == 1
+
+
+def test_build_large_op_runs_no_eigvalsh_of_p(monkeypatch):
+    # build_functional + k1 + evaluate at n = 6, N = 40 (d = 246), as in the
+    # build-large benchmark, run no eigvalsh of P: k1 takes its on the 6 x 6
+    # complement (the reader's Gauss rule may take one of its own order).
+    local = np.random.default_rng(29)
+    system = random_stable_rfde(local, 6)
+    w = CostWeights(np.eye(6), np.eye(6), 0.3 * np.eye(6))
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda M, **kw: shapes.append(np.shape(M)) or eigvalsh(M, **kw))
+    for scheme in ("legendre", "cheb"):
+        fa = build_functional(system, w, scheme, 40)
+        assert fa.psd
+        k1(fa)
+        evaluate(fa, FunctionSpec.named("exp-decay", 6))
+    assert all(shape[-1] < 246 for shape in shapes), shapes
+    assert shapes.count((6, 6)) >= 2

@@ -11,6 +11,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lkapprox.linalg
 from helpers import (
@@ -685,3 +687,110 @@ def test_schur_complement_eigh_only_inside_the_band(monkeypatch, lam_min, eigh_c
     S = schur_complement(_band_matrix(lam_min), 3)
     assert len(calls) == eigh_calls
     assert np.all(S == -np.inf) if indefinite else np.all(np.isfinite(S))
+
+
+# Ratios lam_min / lam_max on both sides of the psd rule's -1e-8.
+_PSD_RATIOS = (-1e-6, -1e-8 * (1.0 + 1e-3), -1e-8 * (1.0 - 1e-3), -1e-12, 0.0, 1e-12, 1e-6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40), st.sampled_from(_PSD_RATIOS), st.floats(1e-6, 1e6),
+       st.integers(0, 2**32 - 1))
+def test_psd_verdict_matches_the_eigenvalue_rule(d, ratio, scale, seed):
+    # A completed Cholesky factorization gives the verdict of `_is_psd` on
+    # eigvalsh(P), and so does the rule itself where the factorization fails.
+    local = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(local.standard_normal((d, d)))
+    spectrum = scale * np.concatenate([[ratio, 1.0], local.uniform(ratio, 1.0, d - 2)])
+    P = (U * spectrum) @ U.T
+    P = 0.5 * (P + P.T)
+    w = np.linalg.eigvalsh(P)
+    psd, extremes = lkapprox.linalg._psd_verdict(P)
+    assert psd == lkapprox.linalg._is_psd(float(w[0]), float(w[-1]))
+    assert extremes in (None, (float(w[0]), float(w[-1])))
+    if not psd:
+        assert extremes is not None
+
+
+def test_psd_verdict_takes_eigvalsh_past_the_order_limit(monkeypatch):
+    # Past `_CHOLESKY_MAX_ORDER` the factorization's backward error is no
+    # longer far inside the rule, so the rule decides from eigvalsh alone.
+    calls = []
+    for name in ("cholesky", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda M, fn=fn, name=name: calls.append((name, len(M))) or fn(M))
+    monkeypatch.setattr(lkapprox.linalg, "_CHOLESKY_MAX_ORDER", 3)
+    P3, P4 = np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 2.0, 3.0, 4.0])
+    assert lkapprox.linalg._psd_verdict(P3) == (True, None)
+    assert lkapprox.linalg._psd_verdict(P4) == (True, (1.0, 4.0))
+    assert lkapprox.linalg._psd_verdict(-P4) == (False, (-4.0, -1.0))
+    assert calls == [("cholesky", 3), ("eigvalsh", 4), ("eigvalsh", 4)]
+
+
+def _rotation_block(a, b):
+    """A real 2 x 2 block with eigenvalues a +- i b."""
+    return np.array([[a, b], [-b, a]])
+
+
+def _full_pair_rule(lam):
+    """(message, pair) of the O(d^2) singular-pairing rule on lam, or None."""
+    sums = np.abs(lam[:, None] + lam[None, :])
+    i, j = np.unravel_index(int(np.argmin(sums)), sums.shape)
+    gap = float(sums[i, j])
+    if gap < 1e-10 * max(1.0, float(np.abs(lam).max())):
+        return (f"eigenvalues {lam[i]:.6g} and {lam[j]:.6g} sum to {gap:.3e}; "
+                "the Lyapunov operator is singular",
+                (complex(lam[i]), complex(lam[j])))
+    return None
+
+
+def test_pair_screen_passes_cancelling_real_parts():
+    # 1 +- 2i beside -1 +- 3i: the real parts cancel, so the screen forms
+    # the sums, and the least of them, |-i|, is far above the floor.
+    for b, c in ((2.0, 3.0), (1e3, 1e3 + 1e-3), (0.5, -4.0)):
+        A = scipy.linalg.block_diag(_rotation_block(1.0, b), _rotation_block(-1.0, c),
+                                    [[-2.0]])
+        sol = solve_lyapunov(A, np.eye(5))
+        assert sol.residual <= 1e-12
+
+
+@pytest.mark.parametrize("blocks", [
+    (_rotation_block(1.0, 2.0), _rotation_block(-1.0, 2.0), [[-3.0]]),
+    (_rotation_block(-0.5, 1e3), [[0.5]], [[-0.5]], [[-7.0]]),
+    ([[1e-12]], [[-2.0]], _rotation_block(-1.0, 1.0)),
+])
+def test_exact_pair_raises_the_full_rules_pair(blocks):
+    A = scipy.linalg.block_diag(*blocks)
+    _, wr, wi, _, _ = lkapprox.linalg._gees(A.T)
+    message, pair = _full_pair_rule(wr + 1j * wi)
+    with pytest.raises(SingularOperatorError) as err:
+        solve_lyapunov(A, np.eye(len(A)))
+    assert str(err.value) == message and err.value.pair == pair
+
+
+_PARTS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.5, -2.5, 1e-11, -1e-11, 3e-10, -3e-10]),
+                   st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_PARTS, _PARTS), min_size=1, max_size=12),
+       st.sampled_from([1e-3, 1.0, 1e4]))
+def test_pair_screen_raises_exactly_where_the_full_rule_does(parts, scale):
+    # Conjugate-closed spectra with real parts that cancel exactly, nearly
+    # or not at all: the screened check raises with the full rule's message
+    # and pair, and passes where it passes.
+    lam = np.array([scale * complex(a, b) for a, b in parts]
+                   + [scale * complex(a, -b) for a, b in parts if b != 0.0])
+    lam = lam.real + 1j * lam.imag   # as `_schur_factor` forms it, signed zeros included
+    d = len(lam)
+    expected = _full_pair_rule(lam)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lkapprox.linalg, "_gees",
+                   lambda At: (np.eye(d), lam.real.copy(), lam.imag.copy(), np.eye(d), 0))
+        if expected is None:
+            lkapprox.linalg._schur_factor(np.zeros((d, d)))
+        else:
+            with pytest.raises(SingularOperatorError) as err:
+                lkapprox.linalg._schur_factor(np.zeros((d, d)))
+            assert (str(err.value), err.value.pair) == expected
