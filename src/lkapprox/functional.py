@@ -346,8 +346,8 @@ def _delay_margin(A0, A1):
     """(h, omega): the smallest delay h > 0 at which x' = A0 x + A1 x(t - h)
     has a root i omega, omega > 0, and that omega.
 
-    (inf, None) when A0 + A1 is not Hurwitz or no root reaches the imaginary
-    axis at any delay.  A root i omega at delay h is an eigenvalue of A0 + z A1,
+    (inf, None) when A0 + A1 is not Hurwitz, no root reaches the imaginary
+    axis at any delay or the first such delay exceeds the float range.  A root i omega at delay h is an eigenvalue of A0 + z A1,
     z = exp(-i omega h), whose conjugate -i omega is one of A0 + A1 / z, so
     the quadratic z^2 (A1 x I) + z (A0 x I + I x A0) + I x A1 in Kronecker
     products is singular there, with |z| = 1 (Chen, Gu & Nett, Syst. Control
@@ -390,6 +390,8 @@ def _delay_margin(A0, A1):
     if not np.any(h < np.inf):
         return np.inf, None
     k = np.unravel_index(np.argmin(h), h.shape)
+    if not float(h[k]) / scale < np.inf:   # past the float range, as for a tiny scale
+        return np.inf, None
     return float(h[k]) / scale, float(lam[k].imag) * scale
 
 

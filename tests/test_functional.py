@@ -9,7 +9,7 @@ import numpy.polynomial.polynomial as npoly
 import numpy.testing as npt
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.polynomial.legendre import legvander
@@ -858,9 +858,11 @@ def _scalar_margin(a, b):
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+@example(a=0.0, b=-2.225073858507e-311)
 def test_delay_margin_scalar(a, b):
     # Away from the boundaries a + b = 0 and |b| = -a, where the margin
-    # jumps to infinity.
+    # jumps to infinity.  A subnormal scale puts the margin pi / (2 |b|)
+    # past the float range, which counts as no crossing.
     scale = abs(a) + abs(b)
     assume(abs(a + b) > 1e-3 * scale and abs(abs(b) + a) > 1e-3 * scale)
     got, omega = _delay_margin(np.array([[a]]), np.array([[b]]))
