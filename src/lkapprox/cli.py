@@ -37,6 +37,7 @@ from .linalg import (
     eigenvalues,
 )
 from .oracle import LyapunovConditionError
+from .spectral import _check_order
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,6 +59,9 @@ _NUMERIC_ERRORS = (
     ValueError,
     ArithmeticError,
 )
+
+_REQUIRED_KEYS = ("A0", "A1", "h", "Q0", "Q1")
+_OPTIONAL_KEYS = ("Q2", "scheme", "N", "phi", "allow_incomplete")
 
 _BUILTIN_CONFIGS = {
     "example1": "example1.json",
@@ -134,9 +138,12 @@ def _load_config(path_or_name):
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
-    for key in ("A0", "A1", "h", "Q0", "Q1"):
+    for key in _REQUIRED_KEYS:
         if key not in raw:
             raise ConfigError(f"config is missing required key {key!r}")
+    for key in raw:
+        if key not in _REQUIRED_KEYS + _OPTIONAL_KEYS:
+            raise ConfigError(f"config has unknown key {key!r}")
     try:
         system = RfdeSystem(A0=raw["A0"], A1=raw["A1"], h=raw["h"])
         n = system.n
@@ -152,10 +159,10 @@ def _load_config(path_or_name):
         raise ConfigError(
             f"config scheme must be {' or '.join(map(repr, SCHEMES))}, got {scheme!r}"
         )
-    N = raw.get("N", 20)
-    # bool is a subclass of int, so "N": true would otherwise read as 1.
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise ConfigError(f"config N must be an integer >= 1, got {N!r}")
+    try:
+        N = _check_order(raw.get("N", 20), "config N")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     phi, phi_label = _parse_phi(raw.get("phi"), n)
     allow_incomplete = raw.get("allow_incomplete", False)
     if not isinstance(allow_incomplete, bool):
@@ -199,11 +206,10 @@ def _fmt(x):
 def _scheme_and_N(cfg, args):
     scheme = getattr(args, "scheme", None) or cfg.scheme
     N = getattr(args, "N", None)
-    if N is None:
-        N = cfg.N
-    if N < 1:
-        raise ConfigError(f"N must be an integer >= 1, got {N}")
-    return scheme, N
+    try:
+        return scheme, _check_order(cfg.N if N is None else N, "N")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _spectrum_payload(cfg, scheme, N):
@@ -343,23 +349,16 @@ def _parse_range(text):
     return lo, hi
 
 
-def _sweep_pass(cfg, scheme, axis, values, N_fixed):
-    """The cells of the sweep points `values` from one stage-major build
-    (`functional._build_pass`) and each point's `functional.k1`; each
-    point's wall_time_ms is the time of both split evenly over the points.
-    Orders differ in size, so an N pass has one point."""
+def _sweep_pass(cfg, scheme, systems, N):
+    """The cells of the sweep points at `systems`, all of order N, from one
+    stage-major build (`functional._build_pass`) and each point's
+    `functional.k1`; each point's wall_time_ms is the time of both split
+    evenly over the points.  The psd verdict is read after the clock."""
     t0 = time.perf_counter()
-    if axis == "N":
-        (N,) = values
-        systems = [cfg.system]
-    else:
-        systems = [RfdeSystem(A0=cfg.system.A0, A1=cfg.system.A1, h=float(h))
-                   for h in values]
-        N = N_fixed
     fas = functional._build_pass(systems, cfg.weights, scheme=scheme, N=N,
                                  allow_incomplete=cfg.allow_incomplete)
     bounds = [functional.k1(fa, check_psd=False) for fa in fas]
-    wall_ms = _fmt(1e3 * (time.perf_counter() - t0) / len(values))
+    wall_ms = _fmt(1e3 * (time.perf_counter() - t0) / len(systems))
     return [{
         "k1": _fmt(bound),
         "max_re": _fmt(fa.max_re),
@@ -379,15 +378,18 @@ def cmd_sweep(cfg, args):
         raise ConfigError("--steps must be >= 1")
     lo, hi = _parse_range(args.range)
     scheme, N_fixed = _scheme_and_N(cfg, args)
+    # Each point is (axis cell, system, N).
     if args.axis == "N":
         # Rounding can repeat an order; each is built once, in first-seen order.
-        values = list(dict.fromkeys(int(round(v)) for v in np.linspace(lo, hi, steps)))
-        if min(values) < 1:
+        orders = dict.fromkeys(int(round(v)) for v in np.linspace(lo, hi, steps))
+        if min(orders) < 1:
             raise ConfigError("N sweep range must stay >= 1")
+        points = [(str(N), cfg.system, N) for N in orders]
     else:
-        values = [float(v) for v in np.linspace(lo, hi, steps)]
         if lo <= 0.0:
             raise ConfigError("h sweep range must stay positive")
+        points = [(_fmt(h), RfdeSystem(A0=cfg.system.A0, A1=cfg.system.A1, h=float(h)),
+                   N_fixed) for h in np.linspace(lo, hi, steps)]
 
     baselines, failed = {}, False
     if args.axis == "h":
@@ -397,28 +399,29 @@ def cmd_sweep(cfg, args):
     def rows_of(points):
         """The rows of `points` from one pass or, where it raises, from one
         pass per point."""
+        labels, systems, Ns = zip(*points)
         try:
             cells = [dict(c, error="", **baselines)
-                     for c in _sweep_pass(cfg, scheme, args.axis, points, N_fixed)]
+                     for c in _sweep_pass(cfg, scheme, systems, Ns[0])]
         except _NUMERIC_ERRORS as exc:
             if len(points) > 1:
-                return [row for v in points for row in rows_of([v])]
+                return [row for point in points for row in rows_of([point])]
             # A failed point writes its axis value, psd = false and the
             # error; every other column reads nan.
             cells = [{"psd": "false", "error": f"{type(exc).__name__}: {exc}"}]
-        return [{args.axis: str(v) if args.axis == "N" else _fmt(v), **c}
-                for v, c in zip(points, cells)]
+        return [{args.axis: label, **c} for label, c in zip(labels, cells)]
 
-    if args.axis == "N":
-        passes = [[v] for v in values]
-    else:
-        # The points of a pass hold their closures, Schur factors and P at
-        # once, so the points split evenly into the fewest passes that keep
-        # each such stack of order-d matrices within _PASS_BYTES.
-        d = cfg.system.n * (N_fixed + 1)
-        count = -(-len(values) // max(1, _PASS_BYTES // (8 * d * d)))
-        size = -(-len(values) // count)
-        passes = [values[i:i + size] for i in range(0, len(values), size)]
+    # A pass holds the closures, Schur factors and P of its points at once,
+    # so it takes points of one order, and each run of one order splits
+    # evenly into the fewest passes that keep such a stack of order-d
+    # matrices within _PASS_BYTES.  An N sweep builds one point per pass.
+    passes = []
+    for N, run in itertools.groupby(points, key=lambda point: point[2]):
+        run = list(run)
+        d = cfg.system.n * (N + 1)
+        count = -(-len(run) // max(1, _PASS_BYTES // (8 * d * d)))
+        size = -(-len(run) // count)
+        passes += [run[i:i + size] for i in range(0, len(run), size)]
     rows = [row for points in passes for row in rows_of(points)]
     header = [args.axis, "k1", "max_re", "psd", "residual", "wall_time_ms",
               *baselines, "error"]

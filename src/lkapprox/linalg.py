@@ -508,31 +508,27 @@ def _is_psd(lam_min, lam_max):
 
 
 # The largest order d with d (d + 1) eps <= 1e-9, up to which a completed
-# Cholesky factorization proves `_is_psd` (see `_psd_verdict`).
+# Cholesky factorization proves `_is_psd` (see `_cholesky_proves_psd`).
 _CHOLESKY_MAX_ORDER = 2121
 
 
-def _psd_verdict(P):
-    """(psd, extremes): `_is_psd` of the symmetric matrix P, with extremes
-    (lam_min, lam_max) from eigvalsh(P) where they were computed, else None.
+def _cholesky_proves_psd(P):
+    """Whether a Cholesky factorization of the symmetric matrix P proves
+    `_is_psd`; False leaves the verdict to the rule on eigvalsh(P).
 
     A Cholesky factorization that completes is exact for some P + dP with
     ||dP||_2 <= d gamma_{d+1} ||P||_2 (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., 2002, Thm 10.3), below 1e-9 ||P||_2 up to
     order `_CHOLESKY_MAX_ORDER`, so lam_min(P) lies far above the rule's
-    -1e-8 max(|lam_min|, |lam_max|) and P is psd.  Where the factorization
-    fails, or P is larger, the rule is applied to eigvalsh(P).
+    -1e-8 max(|lam_min|, |lam_max|) and P is psd.  A larger P proves nothing.
     """
-    if len(P) <= _CHOLESKY_MAX_ORDER:
-        try:
-            np.linalg.cholesky(P)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return True, None
-    w = np.linalg.eigvalsh(P)
-    extremes = float(w[0]), float(w[-1])
-    return _is_psd(*extremes), extremes
+    if len(P) > _CHOLESKY_MAX_ORDER:
+        return False
+    try:
+        np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def schur_complement(P, p):

@@ -16,7 +16,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
 from .discretize import _check_dimensions
-from .linalg import ConvergenceError, _kron, _lower_bound, _psd_verdict, expm
+from .linalg import (ConvergenceError, _cholesky_proves_psd, _is_psd, _kron, _lower_bound,
+                     expm)
 from .spectral import NodeSet, cheb_nodes, gauss_legendre
 
 __all__ = [
@@ -266,13 +267,14 @@ def k1_quad(dl, weights, rule="cc", N=40, check_psd=True):
     """Lower-bound coefficient of the quadrature matrix, -inf where its
     history block is indefinite.  With check_psd a matrix that fails the
     positivity rule lam_min >= -1e-8 ||P||_2 raises ValueError instead, the
-    verdict of `linalg._psd_verdict` that a build's `psd` also takes."""
+    verdict a build's `psd` also takes: a Cholesky factorization of P that
+    completes (`linalg._cholesky_proves_psd`), else the rule on eigvalsh(P)."""
     P, _ = assemble_quad(dl, weights, rule=rule, N=N)
-    if check_psd:
-        psd, extremes = _psd_verdict(P)
-        if not psd:   # extremes exist exactly where the verdict fails
+    if check_psd and not _cholesky_proves_psd(P):
+        w = np.linalg.eigvalsh(P)
+        if not _is_psd(float(w[0]), float(w[-1])):
             raise ValueError(
-                f"quadrature matrix is indefinite (lam_min = {extremes[0]:.3e}); "
+                f"quadrature matrix is indefinite (lam_min = {w[0]:.3e}); "
                 "pass check_psd=False to evaluate anyway"
             )
     return _lower_bound(P, dl.system.n)

@@ -81,6 +81,10 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert main(["k1", "--config",
                  write_config(tmp_path, A0=[[1.0, 0.0]])]) == cli.EXIT_CONFIG
     capsys.readouterr()
+    # A typo such as "q2" would otherwise silently mean Q2 = 0.
+    assert main(["k1", "--config",
+                 write_config(tmp_path, q2=[[1.0, 0.0], [0.0, 1.0]])]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", "lk: config error: config has unknown key 'q2'\n")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -620,6 +624,17 @@ def test_validate_delay_free_all_methods(capsys):
 def test_validate_example2_spread(capsys):
     report = run_json(capsys, "validate", "--config", "example2", "-N", "80")
     assert report["k1"]["rel_spread"] <= 1e-3
+
+
+def test_validate_takes_no_psd_verdict_of_the_closures(capsys, monkeypatch):
+    # validate reads neither closure's psd, so neither order-50 P is
+    # factored: the 4 Cholesky factorizations are of history blocks.
+    orders = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda M: orders.append(len(M)) or cholesky(M))
+    run_json(capsys, "validate", "--config", "example2", "-N", "24")
+    assert orders == [48] * 4
 
 
 def test_validate_past_the_margin(tmp_path, capsys, monkeypatch):

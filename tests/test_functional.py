@@ -169,6 +169,33 @@ def test_functional_matrix_is_read_only(ex2_system, ex2_weights, scheme):
             M[-1, -1] += 100.0
 
 
+def test_replaced_record_describes_its_own_P(ex2_system, ex2_weights):
+    # psd, lam_min and lam_max are read from P, so a record made by
+    # dataclasses.replace cannot contradict its own P.
+    fa = build_functional(ex2_system, ex2_weights, "legendre", 12)
+    assert fa.psd and fa.lam_min > 0.0
+    flipped = dataclasses.replace(fa, P=-fa.P)
+    w = np.linalg.eigvalsh(flipped.P)
+    assert not flipped.psd
+    assert (flipped.lam_min, flipped.lam_max) == (w[0], w[-1]) and w[0] < 0.0
+
+
+def test_psd_is_read_once_from_a_frozen_record(monkeypatch, ex2_system, ex2_weights):
+    # The build factors no P; the first read of psd takes one Cholesky
+    # factorization and keeps its verdict, which cannot be overwritten.
+    shapes = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda M: shapes.append(M.shape) or cholesky(M))
+    fa = build_functional(ex2_system, ex2_weights, "legendre", 12)
+    assert shapes == []
+    assert fa.psd and fa.psd
+    assert shapes == [(26, 26)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fa.psd = False
+    assert fa.psd
+
+
 def test_evaluate_matches_quadrature_oracle(ex1_system, ex1_weights):
     fa = build_functional(ex1_system, ex1_weights, "legendre", 40)
     v = evaluate(fa, FunctionSpec.named("one", 1))
@@ -494,7 +521,7 @@ def test_baseline_alpha_max_one_eigensolve(monkeypatch, ex2_system, ex2_weights)
 def test_build_k1_factors_each_symmetric_matrix_once(monkeypatch, scheme):
     # The history block Z of the complement is factored by Cholesky alone:
     # the only symmetric eigensolve of k1 is the one on the n x n complement
-    # (the build's own is the eigvalsh of P behind its psd verdict).
+    # (its psd check is one Cholesky factorization of P, which completes).
     local = np.random.default_rng(6)
     system = random_stable_rfde(local, 6)
     w = CostWeights(np.eye(6), np.eye(6), 0.3 * np.eye(6))

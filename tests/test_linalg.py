@@ -1,5 +1,6 @@
 import ctypes
 import ctypes.util
+import dataclasses
 import json
 import os
 import pathlib
@@ -697,35 +698,48 @@ _PSD_RATIOS = (-1e-6, -1e-8 * (1.0 + 1e-3), -1e-8 * (1.0 - 1e-3), -1e-12, 0.0, 1
 @given(st.integers(2, 40), st.sampled_from(_PSD_RATIOS), st.floats(1e-6, 1e6),
        st.integers(0, 2**32 - 1))
 def test_psd_verdict_matches_the_eigenvalue_rule(d, ratio, scale, seed):
-    # A completed Cholesky factorization gives the verdict of `_is_psd` on
-    # eigvalsh(P), and so does the rule itself where the factorization fails.
+    # A completed Cholesky factorization proves the verdict of `_is_psd` on
+    # eigvalsh(P), and the rule itself decides where the factorization
+    # fails; a record's psd and extremes are those of its own P.
     local = np.random.default_rng(seed)
     U, _ = np.linalg.qr(local.standard_normal((d, d)))
     spectrum = scale * np.concatenate([[ratio, 1.0], local.uniform(ratio, 1.0, d - 2)])
     P = (U * spectrum) @ U.T
     P = 0.5 * (P + P.T)
     w = np.linalg.eigvalsh(P)
-    psd, extremes = lkapprox.linalg._psd_verdict(P)
-    assert psd == lkapprox.linalg._is_psd(float(w[0]), float(w[-1]))
-    assert extremes in (None, (float(w[0]), float(w[-1])))
-    if not psd:
-        assert extremes is not None
+    rule = lkapprox.linalg._is_psd(float(w[0]), float(w[-1]))
+    assert not lkapprox.linalg._cholesky_proves_psd(P) or rule
+    fa = _record_with(P)
+    assert fa.psd == rule
+    assert (fa.lam_min, fa.lam_max) == (float(w[0]), float(w[-1]))
+
+
+def _record_with(P):
+    """A built record with its P replaced: psd, lam_min and lam_max read P alone."""
+    fa = build_functional(RfdeSystem([[-1.0]], [[0.0]], 1.0),
+                          CostWeights([[1.0]], [[1.0]], [[0.0]]), "legendre", 1)
+    return dataclasses.replace(fa, P=P)
 
 
 def test_psd_verdict_takes_eigvalsh_past_the_order_limit(monkeypatch):
     # Past `_CHOLESKY_MAX_ORDER` the factorization's backward error is no
-    # longer far inside the rule, so the rule decides from eigvalsh alone.
+    # longer far inside the rule, so it proves nothing and a record's psd is
+    # the rule on the one eigvalsh that also gives its extremes.
+    P3, P4 = np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 2.0, 3.0, 4.0])
+    records = [_record_with(P) for P in (P3, P4, -P4)]
     calls = []
     for name in ("cholesky", "eigvalsh"):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda M, fn=fn, name=name: calls.append((name, len(M))) or fn(M))
     monkeypatch.setattr(lkapprox.linalg, "_CHOLESKY_MAX_ORDER", 3)
-    P3, P4 = np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 2.0, 3.0, 4.0])
-    assert lkapprox.linalg._psd_verdict(P3) == (True, None)
-    assert lkapprox.linalg._psd_verdict(P4) == (True, (1.0, 4.0))
-    assert lkapprox.linalg._psd_verdict(-P4) == (False, (-4.0, -1.0))
-    assert calls == [("cholesky", 3), ("eigvalsh", 4), ("eigvalsh", 4)]
+    assert lkapprox.linalg._cholesky_proves_psd(P3)
+    assert not lkapprox.linalg._cholesky_proves_psd(P4)
+    assert calls == [("cholesky", 3)]
+    assert [(fa.psd, fa.lam_min, fa.lam_max) for fa in records] == [
+        (True, 1.0, 3.0), (True, 1.0, 4.0), (False, -4.0, -1.0)]
+    assert calls == [("cholesky", 3), ("cholesky", 3), ("eigvalsh", 3),
+                     ("eigvalsh", 4), ("eigvalsh", 4)]
 
 
 def _rotation_block(a, b):

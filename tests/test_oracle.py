@@ -387,21 +387,24 @@ def test_k1_quad_indefinite_gate(ex2_system, ex2_weights):
 
 
 def test_k1_quad_takes_the_build_verdict(monkeypatch, ex2_system, ex2_weights):
-    # check_psd applies linalg._psd_verdict, the rule a build's psd takes;
-    # the message reads the lam_min of its eigvalsh where the verdict fails.
-    verdicts = []
-    verdict = lkapprox.oracle._psd_verdict
-    monkeypatch.setattr(lkapprox.oracle, "_psd_verdict",
-                        lambda P: verdicts.append(verdict(P)) or verdicts[-1])
+    # check_psd applies linalg._cholesky_proves_psd, the proof a build's psd
+    # tries first, and the rule on eigvalsh only where it fails; the message
+    # reads the lam_min of that eigvalsh.
+    proofs, rules = [], []
+    prove, rule = lkapprox.oracle._cholesky_proves_psd, lkapprox.oracle._is_psd
+    monkeypatch.setattr(lkapprox.oracle, "_cholesky_proves_psd",
+                        lambda P: proofs.append(prove(P)) or proofs[-1])
+    monkeypatch.setattr(lkapprox.oracle, "_is_psd",
+                        lambda lo, hi: rules.append(rule(lo, hi)) or rules[-1])
     dl = build_delay_lyap(ex2_system, ex2_weights)
     assert k1_quad(dl, ex2_weights, rule="cc", N=20) > 0.0
-    assert verdicts == [(True, None)]
+    assert proofs == [True] and rules == []
     unstable = build_delay_lyap(dataclasses.replace(ex2_system, h=7.0), ex2_weights)
     P, _ = assemble_quad(unstable, ex2_weights, rule="cc", N=20)
     lam_min = np.linalg.eigvalsh(P)[0]
     with pytest.raises(ValueError, match=re.escape(f"(lam_min = {lam_min:.3e})")):
         k1_quad(unstable, ex2_weights, rule="cc", N=20)
-    assert len(verdicts) == 2 and verdicts[1][0] is False
+    assert proofs == [True, False] and rules == [False]
 
 
 def test_k1_quad_matches_pinv_oracle(ex2_system, ex2_weights):
