@@ -244,6 +244,8 @@ def _build_functional(cfg, args):
 
 
 def _build_summary(fa):
+    # The extremes are read before psd, which then takes its verdict from
+    # them: one eigvalsh(P) and no Cholesky factorization.
     return {
         "scheme": fa.scheme,
         "N": fa.N,
@@ -253,9 +255,9 @@ def _build_summary(fa):
         "residual": fa.residual,
         "hurwitz": fa.hurwitz,
         "max_re": fa.max_re,
-        "psd": fa.psd,
         "lam_min": fa.lam_min,
         "lam_max": fa.lam_max,
+        "psd": fa.psd,
     }
 
 

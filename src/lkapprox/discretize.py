@@ -49,13 +49,6 @@ def _finite(M, name):
     return M
 
 
-def _square(M, n, name):
-    M = np.asarray(M, dtype=float)
-    if M.shape != (n, n):
-        raise DimensionError(f"{name} must have shape ({n}, {n}), got {M.shape}")
-    return _finite(M, name)
-
-
 def _frozen_array(M):
     M = np.array(M, dtype=float)
     M.setflags(write=False)
@@ -74,7 +67,7 @@ class RfdeSystem:
 
     def __post_init__(self):
         A0 = _as_square(self.A0, "A0")
-        A1 = _square(self.A1, A0.shape[0], "A1")
+        A1 = _as_square(self.A1, "A1", A0.shape[0])
         object.__setattr__(self, "A0", _frozen_array(A0))
         object.__setattr__(self, "A1", _frozen_array(A1))
         object.__setattr__(self, "h", _check_h(self.h))
@@ -100,7 +93,7 @@ class CostWeights:
     def __post_init__(self):
         n = _as_square(self.Q0, "Q0").shape[0]
         for name in ("Q0", "Q1", "Q2"):
-            M = _square(getattr(self, name), n, name)
+            M = _as_square(getattr(self, name), name, n)
             object.__setattr__(self, name, _frozen_array(_symmetrized(M, name)))
 
     @property
@@ -214,10 +207,6 @@ class DiscreteModel:
     def __post_init__(self):
         for name in ("A", "e", "M1", "M2"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-
-    @property
-    def n(self):
-        return self.system.n
 
 
 def _closure(system, D, e, r):
@@ -366,5 +355,6 @@ def condition1_check(model):
     coordinates, whose first nN rows are those of A Ti.  For collocation it
     is the leading block of A itself (independent of A0 and A1).
     """
-    p = model.n * model.N
-    return is_hurwitz(_to_combined(model.A[:p], model.e, model.n)[:, :p])
+    n = model.system.n
+    p = n * model.N
+    return is_hurwitz(_to_combined(model.A[:p], model.e, n)[:, :p])

@@ -19,7 +19,6 @@ import numpy as np
 from .discretize import (
     CostWeights,
     DiscreteModel,
-    RfdeSystem,
     _check_dimensions,
     _to_combined,
     build_model,
@@ -54,32 +53,37 @@ class FunctionalApprox:
     """A built functional: V(phi) = c' P c in the closure's coordinates c.
 
     P is the grid-values matrix for the "cheb" scheme and the Legendre
-    coefficient matrix for "legendre".  `residual` (gated by
-    `solve_lyapunov`) and `hurwitz`/`max_re` come from the build's one
-    Lyapunov solve, the same solve for both schemes.  P's spectral facts are
-    computed from P on first read and kept: `psd` is the scale-free verdict
-    lam_min >= -1e-8 max(|lam_min|, |lam_max|), the rule `k1` also applies,
-    taken from a Cholesky factorization of P that completes
-    (`linalg._cholesky_proves_psd`), else from the rule on eigvalsh(P), the
-    one eigvalsh that also gives `lam_min`/`lam_max`.  So a record made by
-    `dataclasses.replace` describes its own P.  The record is frozen and P
-    read-only: `k1` and `grid_matrix` compute anew.
+    coefficient matrix for "legendre".  The record stores only what the
+    build computed: the closure `model`, the `weights`, P, and the
+    `residual` (gated by `solve_lyapunov`) and spectral abscissa `max_re` of
+    its one Lyapunov solve, the same solve for both schemes.  `scheme`,
+    `system` and `N` are read from the model, `hurwitz` from `max_re`, and
+    P's spectral facts from P on first read, then kept: `psd` is the
+    scale-free verdict lam_min >= -1e-8 max(|lam_min|, |lam_max|), the rule
+    `k1` also applies, taken from eigvalsh(P) where `lam_min`/`lam_max` were
+    read first, else from a Cholesky factorization of P that completes
+    (`linalg._cholesky_proves_psd`), else from the rule on eigvalsh(P).  So
+    a record made by `dataclasses.replace` describes its own P.  The record
+    is frozen and P read-only: `k1` and `grid_matrix` compute anew.
     """
 
-    scheme: str
-    system: RfdeSystem
-    weights: CostWeights
-    N: int
     model: DiscreteModel
+    weights: CostWeights
     P: np.ndarray
     residual: float
-    hurwitz: bool
     max_re: float
+
+    scheme = property(lambda self: self.model.scheme)
+    system = property(lambda self: self.model.system)
+    N = property(lambda self: self.model.N)
+    hurwitz = property(lambda self: self.max_re < 0.0)
 
     @cached_property
     def psd(self):
         """Whether P passes the scale-free positivity rule."""
-        return _cholesky_proves_psd(self.P) or _is_psd(self.lam_min, self.lam_max)
+        if "_extremes" not in self.__dict__ and _cholesky_proves_psd(self.P):
+            return True
+        return _is_psd(self.lam_min, self.lam_max)
 
     @cached_property
     def _extremes(self):
@@ -173,11 +177,9 @@ def _build_pass(systems, weights, scheme="legendre", N=20, *, allow_incomplete=F
             Pk += _kron(model.M2, weights.Q2)
     P.setflags(write=False)
     max_res = sol.eigenvalues.real.max(axis=-1).reshape(-1)
-    return [FunctionalApprox(scheme=scheme, system=system, weights=weights, N=model.N,
-                             model=model, P=Pk, residual=float(residual),
-                             hurwitz=max_re < 0.0, max_re=max_re)
-            for Pk, system, model, residual, max_re in zip(
-                P, systems, models, np.reshape(sol.residual, -1), max_res.tolist())]
+    return [FunctionalApprox(model, weights, Pk, float(residual), max_re)
+            for Pk, model, residual, max_re in zip(
+                P, models, np.reshape(sol.residual, -1), max_res.tolist())]
 
 
 def evaluate(fa, phi):

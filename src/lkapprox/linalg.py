@@ -279,8 +279,11 @@ class RangeError(RuntimeError):
     """Result left the representable floating-point range."""
 
 
-def _as_square(A, name="A", stacked=False):
+def _as_square(A, name="A", n=None, stacked=False):
+    """A as a float array: square (n x n where n is given), nonempty, finite."""
     A = np.asarray(A, dtype=float)
+    if n is not None and A.shape != (n, n):
+        raise DimensionError(f"{name} must have shape ({n}, {n}), got {A.shape}")
     ndims = (2, 3) if stacked else (2,)
     if A.ndim not in ndims or A.shape[-1] != A.shape[-2] or A.size == 0:
         raise DimensionError(f"{name} must be square and nonempty, got shape {A.shape}")

@@ -38,7 +38,7 @@ class LyapunovConditionError(RuntimeError):
     """
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DelayLyapunovMatrix:
     """Psi on [-h, h], realized as the pair Y(s) = Psi(s), Z(s) = Psi(s - h).
 

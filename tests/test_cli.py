@@ -626,6 +626,45 @@ def test_validate_example2_spread(capsys):
     assert report["k1"]["rel_spread"] <= 1e-3
 
 
+def _count_order(monkeypatch, name, d):
+    """A list that records each np.linalg.<name> call on a d x d matrix."""
+    calls = []
+    routine = getattr(np.linalg, name)
+
+    def counting(M, *args, **kwargs):
+        if np.shape(M)[-2:] == (d, d):
+            calls.append(name)
+        return routine(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["build", "eval", "k1"])
+def test_summary_reads_the_spectrum_of_p_once(capsys, monkeypatch, command):
+    # The summary reads lam_min/lam_max before psd, so the one eigvalsh of
+    # P (order 42) gives the verdict too, and no Cholesky factorization of
+    # P runs.
+    cholesky = _count_order(monkeypatch, "cholesky", 42)
+    eigvalsh = _count_order(monkeypatch, "eigvalsh", 42)
+    report = run_json(capsys, command, "--config", "example2")
+    assert report["psd"] is True and report["lam_min"] > 0.0
+    assert (cholesky, eigvalsh) == ([], ["eigvalsh"])
+
+
+def test_sweep_factors_each_p_once(capsys, monkeypatch):
+    # A sweep row reads psd alone: one Cholesky factorization of P per
+    # point, and eigvalsh(P) only where it fails, past the margin 6.17.
+    cholesky = _count_order(monkeypatch, "cholesky", 42)
+    eigvalsh = _count_order(monkeypatch, "eigvalsh", 42)
+    code, out = run(capsys, "sweep", "--config", "example2", "--axis", "h",
+                    "--range", "5:7", "--steps", "5")
+    assert code == cli.EXIT_OK
+    psd = [row[3] for row in parse_csv(out)[1]]
+    assert psd == ["true"] * 3 + ["false"] * 2
+    assert (len(cholesky), len(eigvalsh)) == (5, 2)
+
+
 def test_validate_takes_no_psd_verdict_of_the_closures(capsys, monkeypatch):
     # validate reads neither closure's psd, so neither order-50 P is
     # factored: the 4 Cholesky factorizations are of history blocks.

@@ -180,6 +180,44 @@ def test_replaced_record_describes_its_own_P(ex2_system, ex2_weights):
     assert (flipped.lam_min, flipped.lam_max) == (w[0], w[-1]) and w[0] < 0.0
 
 
+def test_record_stores_only_what_the_build_computed(ex2_system, ex2_weights):
+    # scheme, system and N are read from the model and hurwitz from max_re,
+    # so a record made by dataclasses.replace cannot contradict them.
+    fa = build_functional(ex2_system, ex2_weights, "legendre", 12)
+    assert [f.name for f in dataclasses.fields(fa)] == [
+        "model", "weights", "P", "residual", "max_re"]
+    assert (fa.scheme, fa.system, fa.N, fa.hurwitz) == (
+        "legendre", fa.model.system, 12, True)
+    assert not dataclasses.replace(fa, max_re=1.0).hurwitz
+    assert not dataclasses.replace(fa, max_re=0.0).hurwitz
+    with pytest.raises(TypeError):
+        dataclasses.replace(fa, N=7)
+    model = build_model(dataclasses.replace(ex2_system, h=3.0), "cheb", 5)
+    moved = dataclasses.replace(fa, model=model)
+    assert (moved.scheme, moved.system, moved.N) == ("cheb", model.system, 5)
+    for name in ("scheme", "system", "N", "hurwitz", "psd", "lam_min", "lam_max"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fa, name, None)
+
+
+def test_psd_is_read_from_the_extremes_once_they_are_read(monkeypatch, ex2_system,
+                                                         ex2_weights):
+    # Where lam_min/lam_max were read first, psd applies the rule to them and
+    # factors nothing: a completed Cholesky factorization proves that rule,
+    # so the verdict is the same either way.
+    shapes = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda M: shapes.append(M.shape) or cholesky(M))
+    for h, psd in ((2.0, True), (7.0, False)):
+        fa = build_functional(dataclasses.replace(ex2_system, h=h), ex2_weights,
+                              "legendre", 12)
+        assert fa.lam_min < fa.lam_max and fa.psd is psd and shapes == []
+        fresh = dataclasses.replace(fa)
+        assert fresh.psd is psd and shapes == [(26, 26)]
+        shapes.clear()
+
+
 def test_psd_is_read_once_from_a_frozen_record(monkeypatch, ex2_system, ex2_weights):
     # The build factors no P; the first read of psd takes one Cholesky
     # factorization and keeps its verdict, which cannot be overwritten.
@@ -466,6 +504,24 @@ def test_cheb_k1_tracks_tau_k1(drawn, h, data):
         tau = k1(build_functional(system, weights, "legendre", N))
         cheb = k1(build_functional(system, weights, "cheb", N))
         assert abs(cheb - tau) <= rel * abs(tau)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_stable_systems(), st.floats(0.1, 5.0))
+def test_k1_beats_the_baselines_and_is_rotation_invariant(drawn, h):
+    # The paper's headline claim on random draws: the tight tau k1 at N = 20
+    # is at least both classical lower bounds, and an orthogonal change of
+    # the state, x -> U' x in the system and the weights, leaves it alone.
+    A0, A1, Q0, Q1, U = drawn
+    Z = np.zeros_like(A0)
+    system, weights = RfdeSystem(A0, A1, h), CostWeights(Q0, Q1, Z)
+    bound = k1(build_functional(system, weights, "legendre", 20))
+    assert bound >= max(baseline_k1(system, weights, method)
+                        for method in ("norm-ratio", "alpha-max"))
+    rotated = k1(build_functional(
+        RfdeSystem(U.T @ A0 @ U, U.T @ A1 @ U, h),
+        CostWeights(U.T @ Q0 @ U, U.T @ Q1 @ U, Z), "legendre", 20))
+    assert abs(rotated - bound) <= 1e-8 * abs(bound)
 
 
 def test_k1_is_minus_inf_past_the_margin(ex2_system, ex2_weights):

@@ -56,6 +56,16 @@ def test_psi_delay_free_reduction():
     npt.assert_allclose(dl(0.0), solve_lyapunov(A0, w.Q0).P, atol=1e-9)
 
 
+def test_delay_lyapunov_matrix_is_frozen():
+    # Like every other record: cond and the series describe the one
+    # boundary solve they came from.
+    dl = build_delay_lyap(_delay_free(), _unit_weights(1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dl.cond = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dl.coef = dl.coef[:1]
+
+
 def test_psi_argument_range():
     dl = build_delay_lyap(_delay_free(), _unit_weights(1))
     with pytest.raises(ValueError):
