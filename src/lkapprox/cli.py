@@ -117,6 +117,16 @@ def _parse_phi(raw_phi, n):
     )
 
 
+def _check_numbers(data, key):
+    """ConfigError if a string or a boolean stands in `key`'s numbers,
+    which NumPy would otherwise read as the number it spells."""
+    if isinstance(data, (str, bool)):
+        raise ConfigError(f"config {key} must hold JSON numbers, got {data!r}")
+    if isinstance(data, list):
+        for item in data:
+            _check_numbers(item, key)
+
+
 def _load_config(path_or_name):
     if path_or_name in _BUILTIN_CONFIGS and not os.path.exists(path_or_name):
         text = (
@@ -167,6 +177,11 @@ def _load_config(path_or_name):
     allow_incomplete = raw.get("allow_incomplete", False)
     if not isinstance(allow_incomplete, bool):
         raise ConfigError("config allow_incomplete must be a boolean")
+    # Last, so that a config rejected before keeps its message.
+    for key in ("A0", "A1", "h", "Q0", "Q1", "Q2"):
+        _check_numbers(raw.get(key), key)
+    if isinstance(raw.get("phi"), dict):
+        _check_numbers(raw["phi"][phi_label], f"phi {phi_label}")
     return RunConfig(system, weights, scheme, N, phi, phi_label, allow_incomplete)
 
 

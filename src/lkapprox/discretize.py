@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import legvander
 from numpy.polynomial.polynomial import polyval
 
-from .linalg import DimensionError, _as_square, _kron, _symmetrized, is_hurwitz
+from .linalg import DimensionError, _as_square, _kron, _symmetrized
 from .spectral import (
     _check_h,
     _check_order,
@@ -37,7 +37,6 @@ __all__ = [
     "build_model",
     "discretize_cheb",
     "discretize_leg",
-    "condition1_check",
 ]
 
 SCHEMES = ("cheb", "legendre")
@@ -146,21 +145,6 @@ class FunctionSpec:
         C = _frozen_array(_finite(np.atleast_2d(np.asarray(coeffs, dtype=float)),
                                   "polynomial segment"))
         return FunctionSpec(lambda thetas: polyval(thetas, C).T, C.shape[1])
-
-    @staticmethod
-    def from_callable(fn: Callable, n: int):
-        """The segment theta -> fn(theta), an n-vector, sampled one theta at a time."""
-        n = _check_order(n, "dimension n")
-
-        def sample(thetas):
-            rows = [np.atleast_1d(np.asarray(fn(float(t)), dtype=float)) for t in thetas]
-            for row in rows:
-                if row.shape != (n,):
-                    raise DimensionError(
-                        f"callable segment returned shape {row.shape}, expected ({n},)")
-            return np.array(rows).reshape(len(rows), n)
-
-        return FunctionSpec(sample, n)
 
     @staticmethod
     def named(name, n):
@@ -279,7 +263,7 @@ def build_leg_model(system, N):
     M2 = 0.5 * h * M1 + np.diag(off, 1) + np.diag(off, -1)
     return DiscreteModel("legendre", system, N, A, e, M1, M2,
                          "legendre-coefficients", lambda phi: discretize_leg(phi, N, h),
-                         _unit_leg_cheb(N)[1])
+                         _unit_leg_cheb(N))
 
 
 def build_model(system, scheme, N):
@@ -330,31 +314,17 @@ def discretize_leg(phi, N, h):
     return zeta.reshape(-1)
 
 
-def _to_combined(M, e, n, rows=False):
-    """M Ti (Ti' M Ti with rows) for the combined coordinates
-    chi = (c^0..c^{N-1}, endpoint value), c = Ti chi.  With e_N = 1 (both
-    schemes), Ti is the identity with the blocks -e_k I in its last block
-    row, so e_k times the endpoint block is subtracted from each history
-    block, rows first, in O(d^2 n).  Where e_k = 0 for every k < N
-    (collocation) the coordinates are already combined and M is copied
-    as it is."""
+def _to_combined(M, e, n):
+    """Ti' M Ti for the combined coordinates chi = (c^0..c^{N-1}, endpoint
+    value), c = Ti chi.  With e_N = 1 (both schemes), Ti is the identity
+    with the blocks -e_k I in its last block row, so e_k times the endpoint
+    block is subtracted from each history block, rows first, in O(d^2 n).
+    Where e_k = 0 for every k < N (collocation) the coordinates are already
+    combined and M is copied as it is."""
     M = np.array(M, dtype=float)
     if not np.any(e[:-1]):
         return M
     E = _kron(e[:-1, None], np.eye(n))   # block k is e_k I
-    if rows:
-        M[:-n] -= E @ M[-n:]
+    M[:-n] -= E @ M[-n:]
     M[:, :-n] -= M[:, -n:] @ E.T
     return M
-
-
-def condition1_check(model):
-    """Hurwitz test of the state-free closure block.
-
-    This is the leading nN x nN block of T A Ti, the closure in combined
-    coordinates, whose first nN rows are those of A Ti.  For collocation it
-    is the leading block of A itself (independent of A0 and A1).
-    """
-    n = model.system.n
-    p = n * model.N
-    return is_hurwitz(_to_combined(model.A[:p], model.e, n)[:, :p])

@@ -207,7 +207,7 @@ def k1(fa, check_psd=True):
             "pass check_psd=False to evaluate anyway"
         )
     n = fa.system.n
-    return _lower_bound(_to_combined(fa.P, fa.model.e, n, rows=True), n)
+    return _lower_bound(_to_combined(fa.P, fa.model.e, n), n)
 
 
 def baseline_k1(system, weights, method="norm-ratio"):

@@ -86,8 +86,8 @@ class DelayLyapunovMatrix:
     def pair(self, s):
         """(Y(s), Z(s)) for s in [0, h].
 
-        No library path calls it (they call `pairs`); it stays, with
-        `__call__` on top of it, only because `perfbench/tracer.py` wraps it.
+        No library path calls it (they call `pairs`); it is kept only
+        because `perfbench/tracer.py` wraps it.
         """
         Y, Z = self.pairs(float(s))
         return Y[0], Z[0]
@@ -98,9 +98,8 @@ class DelayLyapunovMatrix:
         tau = float(tau)
         if abs(tau) > h * (1.0 + 1e-12):
             raise ValueError(f"argument {tau} outside [-{h}, {h}]")
-        if tau >= 0.0:
-            return self.pair(tau)[0]
-        return self.pair(-tau)[0].T
+        Y = self.pairs(abs(tau))[0][0]
+        return Y if tau >= 0.0 else Y.T
 
 
 # Chopping rule for the Chebyshev series of the Psi flow (after Aurentz &

@@ -19,7 +19,6 @@ __all__ = [
     "cheb_nodes",
     "cheb_diffmat",
     "gauss_legendre",
-    "transform_leg_to_chebvals",
 ]
 
 
@@ -144,25 +143,8 @@ def gauss_legendre(count, h):
 
 @lru_cache(maxsize=None)
 def _unit_leg_cheb(N):
-    # legvander returns a Fortran-ordered view, on which np.kron is ~3x slower.
-    V = np.ascontiguousarray(legvander(_unit_cheb_nodes(N), N))
-    Vinv = np.linalg.solve(V, np.eye(N + 1))
-    V.setflags(write=False)
+    """The inverse of the Legendre Vandermonde matrix on the Chebyshev grid:
+    it maps a degree-N polynomial's grid values to its Legendre coefficients."""
+    Vinv = np.linalg.solve(legvander(_unit_cheb_nodes(N), N), np.eye(N + 1))
     Vinv.setflags(write=False)
-    return V, Vinv
-
-
-def transform_leg_to_chebvals(N, n=1):
-    """Coefficient-to-values map between Legendre and Chebyshev-grid bases.
-
-    Returns the pair (T_cv, T_vc): T_cv maps stacked Legendre coefficient
-    blocks to values on the ascending Chebyshev grid, and T_vc is its
-    inverse (dense LU, cached per N).  Block k of row j of T_cv is
-    p_k(vartheta_j) * I_n; the first and last block rows are therefore
-    ((-1)^k I_n)_k and (I_n)_k.
-    """
-    N = _check_order(N)
-    n = _check_order(n, "block size n")
-    V, Vinv = _unit_leg_cheb(N)
-    eye = np.eye(n)
-    return np.kron(V, eye), np.kron(Vinv, eye)
+    return Vinv

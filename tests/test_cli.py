@@ -87,6 +87,28 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert capsys.readouterr() == ("", "lk: config error: config has unknown key 'q2'\n")
 
 
+# A string or a boolean where a number belongs, each in a config that is
+# otherwise valid.  NumPy would read "2.2" as 2.2 and true as 1.0.
+_NOT_NUMBERS = {
+    "h": ({"h": "2.2"}, "'2.2'"),
+    "A0": ({"A0": [[True, 0.0], [0.0, -0.9]]}, "True"),
+    "A1": ({"A1": [[-1.0, 0.0], ["-1", -1.0]]}, "'-1'"),
+    "Q0": ({"Q0": [["1", 0.0], [0.0, 1.0]]}, "'1'"),
+    "Q1": ({"Q1": [[True, False], [False, True]]}, "True"),
+    "Q2": ({"Q2": [[0.0, 0.0], [0.0, "0.5"]]}, "'0.5'"),
+    "phi constant": ({"phi": {"constant": ["1", 2.0]}}, "'1'"),
+    "phi polynomial": ({"phi": {"polynomial": [["1", 0.0], [True, 0.0]]}}, "'1'"),
+}
+
+
+@pytest.mark.parametrize("key", _NOT_NUMBERS)
+def test_config_numbers_must_be_json_numbers(tmp_path, capsys, key):
+    overrides, shown = _NOT_NUMBERS[key]
+    assert main(["k1", "--config", write_config(tmp_path, **overrides)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"lk: config error: config {key} must hold JSON numbers, got {shown}\n")
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_exit_code_numeric_failure(tmp_path, capsys):
     # A root at the origin makes the Lyapunov solve singular.

@@ -8,15 +8,15 @@ from numpy.polynomial.legendre import legvander
 from helpers import legendre_cost, newton_char_root
 from lkapprox import CostWeights, FunctionSpec, RfdeSystem
 from lkapprox.discretize import (
+    SCHEMES,
     build_cheb_model,
     build_leg_model,
     build_model,
-    condition1_check,
     discretize_cheb,
     discretize_leg,
 )
-from lkapprox.linalg import DimensionError, eigenvalues
-from lkapprox.spectral import cheb_nodes, transform_leg_to_chebvals
+from lkapprox.linalg import DimensionError, eigenvalues, is_hurwitz
+from lkapprox.spectral import cheb_nodes
 
 rng = np.random.default_rng(20240819)
 
@@ -57,7 +57,7 @@ def test_function_spec_variants():
     npt.assert_allclose(c(-0.3), [1.0, -2.0])
     p = FunctionSpec.polynomial([[0.0], [1.0], [2.0]])
     npt.assert_allclose(p(-1.0), [1.0])  # 0 + theta + 2 theta^2 at -1
-    f = FunctionSpec.from_callable(lambda t: np.array([np.cos(t)]), 1)
+    f = FunctionSpec(lambda thetas: np.cos(thetas)[:, None], 1)
     npt.assert_allclose(f(0.0), [1.0])
     one = FunctionSpec.named("one", 3)
     npt.assert_allclose(one(-1.0), np.ones(3))
@@ -66,17 +66,14 @@ def test_function_spec_variants():
                         np.full(2, np.exp(-1.0)))
     with pytest.raises(ValueError):
         FunctionSpec.named("pulse", 1)
-    bad = FunctionSpec.from_callable(lambda t: np.zeros(3), 2)
-    with pytest.raises(DimensionError):
-        bad(0.0)
 
 
 _SEGMENTS = {
     "constant": lambda: FunctionSpec.constant([1.0, -2.0, 0.5]),
     "polynomial": lambda: FunctionSpec.polynomial(
         [[0.5, 1.0, -3.0], [1.0, -1.0, 0.0], [2.0, 0.25, 1e-3], [-0.7, 0.0, 4.0]]),
-    "from_callable": lambda: FunctionSpec.from_callable(
-        lambda t: np.array([np.cos(t), t, np.exp(2.0 * t)]), 3),
+    "sampler": lambda: FunctionSpec(
+        lambda thetas: np.stack([np.cos(thetas), thetas, np.exp(2.0 * thetas)], axis=1), 3),
     "named-one": lambda: FunctionSpec.named("one", 3),
     "named-sin": lambda: FunctionSpec.named("sin", 3),
     "named-exp-decay": lambda: FunctionSpec.named("exp-decay", 3),
@@ -95,25 +92,11 @@ def test_function_spec_sample_matches_pointwise(make):
     assert phi.sample(np.empty(0)).shape == (0, 3)
 
 
-def test_function_spec_sample_checks_callable_shape():
-    bad = FunctionSpec.from_callable(lambda t: np.zeros(3), 2)
-    with pytest.raises(DimensionError, match=r"shape \(3,\), expected \(2,\)"):
-        bad.sample(np.array([-1.0, 0.0]))
-    with pytest.raises(DimensionError):
-        bad(0.0)
-    # A wrong shape at one theta only is caught as well.
-    ragged = FunctionSpec.from_callable(lambda t: np.zeros(3 if t == 0.0 else 2), 2)
-    npt.assert_array_equal(ragged.sample(np.array([-1.0, -0.5])), np.zeros((2, 2)))
-    with pytest.raises(DimensionError):
-        ragged.sample(np.array([-1.0, 0.0]))
-
-
 @pytest.mark.parametrize("n", [2.7, True, 0, "2"])
 @pytest.mark.parametrize("make", [
-    lambda n: FunctionSpec.from_callable(lambda t: np.zeros(2), n),
     lambda n: FunctionSpec.named("sin", n),
     lambda n: FunctionSpec.named("one", n),
-], ids=["from_callable", "named-sin", "named-one"])
+], ids=["named-sin", "named-one"])
 def test_function_spec_dimension_is_an_integer_at_least_one(make, n):
     # The rule of every size argument: a float is not truncated, a bool is
     # not 1, and the error comes at construction, not at first evaluation.
@@ -216,8 +199,8 @@ def test_model_reads_segments_into_its_coordinates(ex2_system, scheme):
 
 def test_leg_model_similarity_spectrum(ex2_system):
     model = build_leg_model(ex2_system, 12)
-    T_cv, T_vc = transform_leg_to_chebvals(12, ex2_system.n)
-    A_y = T_cv @ model.A @ T_vc
+    T_vc = np.kron(model.to_grid, np.eye(ex2_system.n))
+    A_y = np.linalg.solve(T_vc, model.A @ T_vc)
     lam_zeta = np.sort_complex(eigenvalues(model.A))
     lam_y = np.sort_complex(eigenvalues(A_y))
     npt.assert_allclose(lam_y, lam_zeta, atol=1e-8)
@@ -247,7 +230,7 @@ def test_legendre_cost_corner_only():
     Q = np.zeros((n * (N + 1), n * (N + 1)))
     Q[:n, :n] = w.Q1
     Q[-n:, -n:] = w.Q0
-    T_cv, _ = transform_leg_to_chebvals(N, n)
+    T_cv = np.kron(legvander(cheb_nodes(N, 2.0).nodes + 1.0, N), np.eye(n))
     npt.assert_allclose(legendre_cost(w, N, 2.0), T_cv.T @ Q @ T_cv, atol=1e-14)
 
 
@@ -313,21 +296,17 @@ def test_discretize_leg_constant():
 
 def test_discretize_leg_reproduces_basis_vector():
     h = 2.0
-    p3 = FunctionSpec.from_callable(
-        lambda t: np.atleast_1d(legvander([2 * t / h + 1.0], 3)[0, 3]), 1
-    )
+    p3 = FunctionSpec(lambda thetas: legvander(2 * thetas / h + 1.0, 3)[:, 3:], 1)
     zeta = discretize_leg(p3, 5, h)
     npt.assert_allclose(zeta, np.eye(6)[3], atol=1e-12)
 
 
 def test_discretize_leg_matches_cheb_for_polynomials():
-    from lkapprox.spectral import transform_leg_to_chebvals
-
     n, N, h = 2, 5, 1.5
     coeffs = rng.standard_normal((N + 1, n))
     phi = FunctionSpec.polynomial(coeffs)
     zeta = discretize_leg(phi, N, h)
-    T_cv, _ = transform_leg_to_chebvals(N, n)
+    T_cv = np.kron(legvander(2.0 * cheb_nodes(N, h).nodes / h + 1.0, N), np.eye(n))
     npt.assert_allclose(T_cv @ zeta, discretize_cheb(phi, N, h), atol=1e-10)
 
 
@@ -346,17 +325,30 @@ def test_discretize_leg_series_reproduces_low_degree_polys():
     npt.assert_allclose(series, exact, atol=1e-10)
 
 
-def test_condition1_independent_of_system_matrices():
-    h = 2.0
-    m1 = build_cheb_model(RfdeSystem([[5.0]], [[7.0]], h), 8)
-    m2 = build_cheb_model(RfdeSystem([[-1.0]], [[0.0]], h), 8)
-    assert condition1_check(m1) == condition1_check(m2)
-
-
 def test_condition1_true_for_both_schemes():
-    sys_ = RfdeSystem([[0.0]], [[0.0]], 2.0)
-    for N in (4, 8, 16):
-        ok_c, re_c = condition1_check(build_cheb_model(sys_, N))
-        ok_l, re_l = condition1_check(build_leg_model(sys_, N))
-        assert ok_c and re_c < 0.0
-        assert ok_l and re_l < 0.0
+    # Condition 1: the state-free block of the closure, its leading nN block
+    # in the combined coordinates (c^0..c^{N-1}, phi(0)), is Hurwitz.  That
+    # block holds neither A0 nor A1, and h only scales it, so h times its
+    # spectral abscissa depends on the scheme and N alone: at most -1 for
+    # cheb and -2 for legendre, both reached at N = 1.
+    local = np.random.default_rng(33)
+    bound = {"cheb": -1.0, "legendre": -2.0}
+    for scheme in SCHEMES:
+        for N in range(1, 81):
+            reference = None
+            for n in (1, 2):
+                h = local.uniform(0.1, 10.0)
+                A0, A1 = local.standard_normal((2, n, n))
+                model = build_model(RfdeSystem(A0, A1, h), scheme, N)
+                p = n * N
+                Ti = np.eye(p + n)
+                Ti[-n:, :-n] = -np.kron(model.e[:-1], np.eye(n))
+                ok, abscissa = is_hurwitz((model.A @ Ti)[:p, :p])
+                assert ok
+                scaled = h * abscissa
+                assert scaled <= bound[scheme] * (1.0 - 1e-13)
+                if N == 1:
+                    npt.assert_allclose(scaled, bound[scheme], rtol=1e-13)
+                if reference is None:
+                    reference = scaled
+                npt.assert_allclose(scaled, reference, rtol=1e-8)

@@ -524,12 +524,34 @@ def test_k1_beats_the_baselines_and_is_rotation_invariant(drawn, h):
     assert abs(rotated - bound) <= 1e-8 * abs(bound)
 
 
+@pytest.mark.parametrize("scheme", ["cheb", "legendre"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_stable_systems(), st.floats(0.1, 5.0), st.floats(0.25, 8.0), st.data())
+def test_k1_is_invariant_under_time_scaling_and_linear_in_the_weights(scheme, drawn, h, c,
+                                                                      data):
+    # Time scaling t -> c t maps (A0, A1, h, Q0, Q1, Q2) to
+    # (A0/c, A1/c, c h, Q0/c, Q1/c, Q2/c^2) and leaves V, and so k1, alone;
+    # V is linear in the weights, so k1(c Q) = c k1(Q).  Both hold for each
+    # closure exactly, up to rounding.
+    A0, A1, Q0, Q1, _ = drawn
+    n = len(A0)
+    C2 = data.draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    Q2 = C2 @ C2.T
+    system = RfdeSystem(A0, A1, h)
+    bound = k1(build_functional(system, CostWeights(Q0, Q1, Q2), scheme, 20))
+    slow = k1(build_functional(RfdeSystem(A0 / c, A1 / c, c * h),
+                               CostWeights(Q0 / c, Q1 / c, Q2 / c ** 2), scheme, 20))
+    heavy = k1(build_functional(system, CostWeights(c * Q0, c * Q1, c * Q2), scheme, 20))
+    assert abs(slow - bound) <= 1e-9 * abs(bound)
+    assert abs(heavy - c * bound) <= 1e-9 * abs(c * bound)
+
+
 def test_k1_is_minus_inf_past_the_margin(ex2_system, ex2_weights):
     # Example 2 at h = 7, past its margin 6.1726: the history block is
     # indefinite, so V / ||phi(0)||^2 is unbounded below on every route.
     system = dataclasses.replace(ex2_system, h=7.0)
     fa = build_functional(system, ex2_weights, "legendre", 20)
-    M = _to_combined(fa.P, fa.model.e, 2, rows=True)
+    M = _to_combined(fa.P, fa.model.e, 2)
     v = np.linalg.eigh(M[:-2, :-2])[1][:, 0]
     x = np.concatenate([1e3 * v, [1.0, 0.0]])   # phi(0) = (1, 0)
     assert x @ M @ x < -1e8

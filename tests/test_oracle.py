@@ -27,7 +27,8 @@ from lkapprox.oracle import (
     k1_quad,
     property_residuals,
 )
-from lkapprox.spectral import cheb_nodes, transform_leg_to_chebvals
+from lkapprox.discretize import build_leg_model
+from lkapprox.spectral import cheb_nodes
 
 rng = np.random.default_rng(20240822)
 
@@ -335,7 +336,7 @@ def test_quadrature_rules_converge_together(ex2_system, ex2_weights):
     for N in (10, 20, 40):
         P_cc, _ = assemble_quad(dl, ex2_weights, rule="cc", N=N)
         P_g, g_g = assemble_quad(dl, ex2_weights, rule="gauss", N=N)
-        _, T_vc = transform_leg_to_chebvals(N, 2)
+        T_vc = np.kron(build_leg_model(ex2_system, N).to_grid, np.eye(2))
         unit = 2.0 * g_g.nodes / ex2_system.h + 1.0
         L = np.kron(legvander(unit, N), np.eye(2)) @ T_vc
         devs.append(np.max(np.abs(L.T @ P_g @ L - P_cc)))

@@ -4,12 +4,9 @@ import numpy.testing as npt
 import pytest
 from numpy.polynomial.legendre import legvander
 
-from lkapprox.spectral import (
-    cheb_diffmat,
-    cheb_nodes,
-    gauss_legendre,
-    transform_leg_to_chebvals,
-)
+from lkapprox import RfdeSystem
+from lkapprox.discretize import build_leg_model
+from lkapprox.spectral import cheb_diffmat, cheb_nodes, gauss_legendre
 
 rng = np.random.default_rng(20240818)
 
@@ -143,36 +140,34 @@ def test_gauss_matches_clenshaw_curtis_on_random_polys():
         npt.assert_allclose(val_cc, val_g, rtol=1e-12, atol=1e-12)
 
 
+def _to_grid(N, h=2.0):
+    """The tau model's map from Chebyshev grid values to Legendre coefficients."""
+    return build_leg_model(RfdeSystem([[-1.0]], [[0.0]], h), N).to_grid
+
+
+def _leg_values(N):
+    """Legendre values p_k(vartheta_j) on the unit Chebyshev grid."""
+    return legvander(2.0 * cheb_nodes(N, 2.0).nodes / 2.0 + 1.0, N)
+
+
 def test_transform_small_case():
-    T_cv, T_vc = transform_leg_to_chebvals(1, 1)
-    npt.assert_allclose(T_cv, [[1.0, -1.0], [1.0, 1.0]])
-    npt.assert_allclose(T_vc, [[0.5, 0.5], [-0.5, 0.5]])
-
-
-@pytest.mark.parametrize("n", [True, 2.0, 0, np.int64(-1)])
-def test_transform_block_size_is_an_integer_at_least_one(n):
-    # n=True once gave the 4 x 4 map of n = 1.
-    with pytest.raises(ValueError, match="block size n must be an integer >= 1"):
-        transform_leg_to_chebvals(3, n=n)
+    npt.assert_allclose(_leg_values(1), [[1.0, -1.0], [1.0, 1.0]])
+    npt.assert_allclose(_to_grid(1), [[0.5, 0.5], [-0.5, 0.5]])
 
 
 def test_transform_endpoint_block_rows():
-    n = 2
+    # The grid's end values of the represented segment are phi(-h), read by
+    # the row (-1)^k, and phi(0), read by the model's endpoint row e.
     N = 5
-    T_cv, _ = transform_leg_to_chebvals(N, n)
-    eye = np.eye(n)
-    first = np.hstack([(-1.0) ** k * eye for k in range(N + 1)])
-    last = np.hstack([eye for _ in range(N + 1)])
-    npt.assert_allclose(T_cv[:n], first, atol=1e-14)
-    npt.assert_allclose(T_cv[-n:], last, atol=1e-14)
+    to_values = np.linalg.inv(_to_grid(N))
+    npt.assert_allclose(to_values[0], (-1.0) ** np.arange(N + 1), atol=1e-14)
+    npt.assert_allclose(to_values[-1], np.ones(N + 1), atol=1e-14)
 
 
 def test_transform_round_trip():
-    for N, n in ((3, 1), (8, 2), (20, 3)):
-        T_cv, T_vc = transform_leg_to_chebvals(N, n)
-        dim = n * (N + 1)
-        err = np.linalg.norm(T_cv @ T_vc - np.eye(dim), "fro")
-        assert err <= 1e-10 * dim
+    for N in (3, 8, 20):
+        err = np.linalg.norm(_leg_values(N) @ _to_grid(N) - np.eye(N + 1), "fro")
+        assert err <= 1e-10 * (N + 1)
 
 
 def test_transform_recovers_basis_coefficient():
@@ -181,8 +176,7 @@ def test_transform_recovers_basis_coefficient():
     grid = cheb_nodes(N, 2.0)
     unit = 2.0 * grid.nodes / 2.0 + 1.0
     samples = legvander(unit, 3)[:, 3]
-    _, T_vc = transform_leg_to_chebvals(N, 1)
-    npt.assert_allclose(T_vc @ samples, np.eye(N + 1)[3], atol=1e-12)
+    npt.assert_allclose(_to_grid(N) @ samples, np.eye(N + 1)[3], atol=1e-12)
 
 
 def test_transform_consistency_with_direct_evaluation():
@@ -191,5 +185,4 @@ def test_transform_consistency_with_direct_evaluation():
     grid = cheb_nodes(N, 1.0)
     unit = 2.0 * grid.nodes + 1.0
     direct = legvander(unit, N) @ coeffs
-    T_cv, _ = transform_leg_to_chebvals(N, 1)
-    npt.assert_allclose(T_cv @ coeffs, direct, atol=1e-11)
+    npt.assert_allclose(_to_grid(N, 1.0) @ direct, coeffs, atol=1e-11)
