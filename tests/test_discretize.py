@@ -325,6 +325,27 @@ def test_discretize_leg_series_reproduces_low_degree_polys():
     npt.assert_allclose(series, exact, atol=1e-10)
 
 
+def _state_free_block(model, n, N):
+    # Leading nN block of the closure in the combined coordinates
+    # (c^0..c^{N-1}, phi(0)): the part of the dynamics Condition 1 is about.
+    p = n * N
+    Ti = np.eye(p + n)
+    Ti[-n:, :-n] = -np.kron(model.e[:-1], np.eye(n))
+    return (model.A @ Ti)[:p, :p]
+
+
+def test_condition1_independent_of_system_matrices():
+    # The state-free block holds neither A0 nor A1: two systems that share h
+    # give the same block, hence the same Hurwitz verdict and abscissa.
+    h, N = 2.0, 8
+    for scheme in SCHEMES:
+        m1 = build_model(RfdeSystem([[5.0]], [[7.0]], h), scheme, N)
+        m2 = build_model(RfdeSystem([[-1.0]], [[0.0]], h), scheme, N)
+        b1, b2 = _state_free_block(m1, 1, N), _state_free_block(m2, 1, N)
+        npt.assert_allclose(b1, b2, rtol=0.0, atol=1e-12)
+        assert is_hurwitz(b1) == is_hurwitz(b2)
+
+
 def test_condition1_true_for_both_schemes():
     # Condition 1: the state-free block of the closure, its leading nN block
     # in the combined coordinates (c^0..c^{N-1}, phi(0)), is Hurwitz.  That
@@ -340,10 +361,7 @@ def test_condition1_true_for_both_schemes():
                 h = local.uniform(0.1, 10.0)
                 A0, A1 = local.standard_normal((2, n, n))
                 model = build_model(RfdeSystem(A0, A1, h), scheme, N)
-                p = n * N
-                Ti = np.eye(p + n)
-                Ti[-n:, :-n] = -np.kron(model.e[:-1], np.eye(n))
-                ok, abscissa = is_hurwitz((model.A @ Ti)[:p, :p])
+                ok, abscissa = is_hurwitz(_state_free_block(model, n, N))
                 assert ok
                 scaled = h * abscissa
                 assert scaled <= bound[scheme] * (1.0 - 1e-13)
