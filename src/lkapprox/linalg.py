@@ -398,9 +398,7 @@ def solve_lyapunov(A, Q):
     routines come from SciPy.  Y is not assumed symmetric: taking
     Y21 = Y12^T loses digits of k1 close to the delay margin.  The operator
     is singular exactly when two eigenvalues of A sum to zero, so that
-    pairing is checked first, screened by the sorted real parts so that the
-    d x d matrix of sums is formed only where two real parts nearly cancel
-    (`_schur_factor`); afterwards the residual
+    pairing is checked first (`_schur_factor`); afterwards the residual
     ||P A + A^T P + Q||_F is gated at 1e-9 relative to
     scale = max(1, ||Q||_F + 2 ||A||_F ||P||_F).  Returns
     LyapunovSolution(P, residual / scale, eigenvalues of A).
@@ -448,28 +446,12 @@ def solve_lyapunov(A, Q):
 
 def _schur_factor(At):
     """(T, Z, eigenvalues) of At = Z T Z^T, after the singular-pairing check
-    of `solve_lyapunov`.
-
-    The check is screened in O(d log d) by the sorted real parts; only where
-    two of them sum to below the floor in magnitude are all d^2 sums formed,
-    and the rule, the message and the pair are those of the full check.
-    """
+    of `solve_lyapunov`."""
     T, wr, wi, Z, info = _gees(At)
     if info != 0:
         raise ConvergenceError(f"real Schur iteration did not converge (info={info})")
     lam = wr + 1j * wi
     floor = 1e-10 * max(1.0, float(np.abs(lam).max()))
-
-    # |lam_i + lam_j| >= |Re lam_i + Re lam_j|, and for each real part the
-    # least such sum is with a sorted neighbour of its negative: where that
-    # bound clears the floor, so does every sum, and the d x d matrix of
-    # sums is not formed.
-    re = np.sort(wr)
-    k = np.searchsorted(re, -re)
-    near = np.minimum(np.abs(re + re[np.minimum(k, len(re) - 1)]),
-                      np.abs(re + re[np.maximum(k - 1, 0)]))
-    if float(near.min()) >= floor:
-        return T, Z, lam
     sums = np.abs(lam[:, None] + lam[None, :])
     i, j = np.unravel_index(int(np.argmin(sums)), sums.shape)
     gap = float(sums[i, j])

@@ -65,12 +65,9 @@ def _unit_cc_weights(N):
     # 2/(1 - k^2) drive the sum; the k = N/2 term is halved for even N.
     j = np.arange(N + 1)
     theta = np.pi * j / N
-    k = np.arange(1, N // 2 + 1)
-    if k.size:
-        b = np.where(2 * k == N, 1.0, 2.0)
-        corr = (b / (4.0 * k * k - 1.0)) @ np.cos(2.0 * np.outer(k, theta))
-    else:
-        corr = np.zeros_like(theta)
+    k = np.arange(1, N // 2 + 1)   # empty at N = 1, where the sum is 0
+    b = np.where(2 * k == N, 1.0, 2.0)
+    corr = (b / (4.0 * k * k - 1.0)) @ np.cos(2.0 * np.outer(k, theta))
     w = (1.0 - corr) / N
     w[1:-1] *= 2.0
     w.setflags(write=False)

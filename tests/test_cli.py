@@ -437,6 +437,24 @@ def test_command_starts_no_threads(capsys, monkeypatch, tmp_path, argv):
     assert started == []
 
 
+def test_commands_call_no_numpy_sort(capsys, monkeypatch):
+    # The first np.sort or np.searchsorted call in a process maps about
+    # 0.65 MB of NumPy's sort kernels; a screen built on them raised every
+    # benchmark workload's peak RSS by 0.3-0.6 MB and saved no time.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command called a NumPy sort function")
+
+    monkeypatch.setattr(np, "sort", refuse)
+    monkeypatch.setattr(np, "searchsorted", refuse)
+    for argv in (["k1", "--config", "example2"],
+                 ["build", "--config", "example2", "--scheme", "cheb", "-N", "40"],
+                 ["sweep", "--config", "example2", "--axis", "h",
+                  "--range", "0.5:9.5", "--steps", "40"],
+                 ["critical-delay", "--config", "example2"],
+                 ["validate", "--config", "example2", "-N", "24"]):
+        assert run(capsys, *argv)[0] == cli.EXIT_OK, argv
+
+
 def test_sweep_records_failures_in_rows(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, A0=[[0.0]], A1=[[0.0]], h=1.0,
                        Q0=[[1.0]], Q1=[[1.0]], Q2=[[0.0]])

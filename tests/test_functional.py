@@ -1415,6 +1415,36 @@ def test_k1_across_the_margin_as_with_eigh_alone(monkeypatch, ex2_system, scheme
     assert screened.count(-np.inf) == 15
 
 
+@pytest.mark.parametrize("h", [1.0, 2.0, 5.0])
+def test_k1_through_the_eigen_branch_on_a_stable_system(monkeypatch, ex2_system, h):
+    # With Q1 = Q2 = 0 only x(t) is charged, and A1 is invertible, so a steep
+    # history drives x(t) to 0 in arbitrarily short time: the true k1 is 0,
+    # and each closure's k1 approaches it as N^-2.  The cheb history block
+    # is near-singular at N = 80 (rcond ~1e-13), so `schur_complement` takes
+    # its eigen branch on a stable system; its rank cutoff p eps lam_max(Z)
+    # keeps the N^-2 rate, where 1e-8 lam_max(Z) would break it.
+    system = RfdeSystem(ex2_system.A0, ex2_system.A1, h)
+    weights = CostWeights(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda S: calls.append(S.shape) or eigh(S))
+    for scheme in ("legendre", "cheb"):
+        fas, bounds = {}, {}
+        for N in (20, 40, 80):
+            calls.clear()
+            fas[N] = build_functional(system, weights, scheme, N, allow_incomplete=True)
+            bounds[N] = k1(fas[N], check_psd=False)
+            if scheme == "cheb" and N != 40:
+                assert calls == ([] if N == 20 else [(160, 160)])
+        assert all(bound > 0.0 for bound in bounds.values())
+        assert 3.5 <= bounds[20] / bounds[40] <= 4.5
+        assert 3.5 <= bounds[40] / bounds[80] <= 4.5
+        with monkeypatch.context() as mp:
+            mp.setattr(lkapprox.linalg, "_pocon", lambda R, anorm: 1.0)
+            forced = k1(fas[80], check_psd=False)
+        assert abs(forced - bounds[80]) <= 1e-6 * bounds[80]
+
+
 def _count_order_eigvalsh(monkeypatch, d):
     """A list that records each np.linalg.eigvalsh call on a d x d matrix."""
     calls = []

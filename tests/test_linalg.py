@@ -759,9 +759,9 @@ def _full_pair_rule(lam):
     return None
 
 
-def test_pair_screen_passes_cancelling_real_parts():
-    # 1 +- 2i beside -1 +- 3i: the real parts cancel, so the screen forms
-    # the sums, and the least of them, |-i|, is far above the floor.
+def test_pair_check_passes_cancelling_real_parts():
+    # 1 +- 2i beside -1 +- 3i: the real parts cancel, but the least sum of
+    # two eigenvalues, |-i|, is far above the floor, so the solve goes on.
     for b, c in ((2.0, 3.0), (1e3, 1e3 + 1e-3), (0.5, -4.0)):
         A = scipy.linalg.block_diag(_rotation_block(1.0, b), _rotation_block(-1.0, c),
                                     [[-2.0]])
@@ -790,9 +790,9 @@ _PARTS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.5, -2.5, 1e-11, -1e-11, 3e
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_PARTS, _PARTS), min_size=1, max_size=12),
        st.sampled_from([1e-3, 1.0, 1e4]))
-def test_pair_screen_raises_exactly_where_the_full_rule_does(parts, scale):
+def test_pair_check_raises_exactly_where_the_full_rule_does(parts, scale):
     # Conjugate-closed spectra with real parts that cancel exactly, nearly
-    # or not at all: the screened check raises with the full rule's message
+    # or not at all: `_schur_factor` raises with the full rule's message
     # and pair, and passes where it passes.
     lam = np.array([scale * complex(a, b) for a, b in parts]
                    + [scale * complex(a, -b) for a, b in parts if b != 0.0])
