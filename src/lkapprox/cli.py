@@ -26,7 +26,7 @@ from importlib import resources
 import numpy as np
 
 from . import functional, oracle
-from .discretize import (SCHEMES, CostWeights, FunctionSpec, RfdeSystem,
+from .discretize import (SCHEMES, CostWeights, FunctionSpec, RfdeSystem, _SEGMENTS,
                          _check_dimensions, build_model)
 from .linalg import (
     ConvergenceError,
@@ -200,18 +200,19 @@ def _jsonify(obj):
             # Strict JSON has no Infinity/NaN literals.
             return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
         return x
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
     return obj
 
 
-def _emit_json(payload, out_path):
-    text = json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n"
+def _write(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(payload, out_path):
+    _write(json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _fmt(x):
@@ -446,13 +447,7 @@ def cmd_sweep(cfg, args):
     writer = csv.DictWriter(buf, header, restval="nan", lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buf.getvalue(), args.out)
     return EXIT_NUMERIC if failed or any(row["error"] for row in rows) else EXIT_OK
 
 
@@ -536,7 +531,7 @@ def _make_parser():
             p.add_argument("--both", action="store_true",
                            help="report both schemes")
         if name == "eval":
-            p.add_argument("--phi", choices=("one", "sin", "exp-decay"))
+            p.add_argument("--phi", choices=tuple(_SEGMENTS))
         if name == "critical-delay":
             p.add_argument("--bracket", help="h bracket a:b (default 1:10)")
             p.add_argument("--tol", type=float)

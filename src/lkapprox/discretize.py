@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import legvander
 from numpy.polynomial.polynomial import polyval
 
-from .linalg import DimensionError, _as_square, _kron, _symmetrized
+from .linalg import DimensionError, _as_square, _finite, _kron, _symmetrized
 from .spectral import (
     _check_h,
     _check_order,
@@ -40,12 +40,7 @@ __all__ = [
 ]
 
 SCHEMES = ("cheb", "legendre")
-
-
-def _finite(M, name):
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return M
+_SEGMENTS = {"one": np.ones_like, "sin": np.sin, "exp-decay": np.exp}
 
 
 def _frozen_array(M):
@@ -148,11 +143,9 @@ class FunctionSpec:
 
     @staticmethod
     def named(name, n):
-        """Built-in segments: "one", "sin", and "exp-decay"."""
+        """The built-in segment `name` of `_SEGMENTS`, repeated over n components."""
         n = _check_order(n, "dimension n")
-        if name == "one":
-            return FunctionSpec.constant(np.ones(n))
-        ufunc = {"sin": np.sin, "exp-decay": np.exp}.get(name)
+        ufunc = _SEGMENTS.get(name)
         if ufunc is None:
             raise ValueError(f"unknown named segment {name!r}")
         return FunctionSpec(lambda thetas: np.repeat(ufunc(thetas)[:, None], n, axis=1), n)

@@ -142,7 +142,7 @@ def _stack(matrices):
     return matrices[0] if len(matrices) == 1 else np.array(matrices)
 
 
-def _build_pass(systems, weights, scheme="legendre", N=20, *, allow_incomplete=False):
+def _build_pass(systems, weights, scheme, N, *, allow_incomplete=False):
     """`build_functional` at each system of `systems`, which differ only in
     the delay h, in one stage-major pass.
 

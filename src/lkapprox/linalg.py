@@ -287,9 +287,14 @@ def _as_square(A, name="A", n=None, stacked=False):
     ndims = (2, 3) if stacked else (2,)
     if A.ndim not in ndims or A.shape[-1] != A.shape[-2] or A.size == 0:
         raise DimensionError(f"{name} must be square and nonempty, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    return _finite(A, name)
+
+
+def _finite(M, name):
+    """M itself, or ValueError where an entry of it is not finite."""
+    if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} contains non-finite entries")
-    return A
+    return M
 
 
 def _fro(M):

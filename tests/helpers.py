@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import legvander
 
 from lkapprox import RfdeSystem
-from lkapprox.linalg import expm, schur_complement, solve_lyapunov
+from lkapprox.linalg import _openblas_libs, expm, schur_complement, solve_lyapunov
 from lkapprox.spectral import NodeSet, cheb_diffmat, cheb_nodes, gauss_legendre
 
 
@@ -166,17 +166,11 @@ def longdouble_tau_k1(A, Q, n):
 def openblas_threads():
     """Thread count of each OpenBLAS loaded in this process, by file name.
 
-    Read through each library's get-threads symbol; empty where
-    /proc/self/maps is missing or no OpenBLAS is loaded.
+    Read through the get-threads symbol of each library that
+    `lkapprox.linalg._openblas_libs` finds; empty where it finds none.
     """
     found = {}
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return found
-    for path in sorted(p for p in paths if os.path.isfile(p)):
-        lib = ctypes.CDLL(path)
+    for path, lib in _openblas_libs():
         for symbol in ("scipy_openblas_get_num_threads64_",
                        "scipy_openblas_get_num_threads",
                        "openblas_get_num_threads64_", "openblas_get_num_threads"):

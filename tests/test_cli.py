@@ -101,6 +101,38 @@ _NOT_NUMBERS = {
 }
 
 
+# Config errors, each with the message `lk` prints for it: the config's
+# overrides (a list stands for the whole JSON document) and the arguments
+# after the config.
+_CONFIG_ERRORS = {
+    "array": ([1.0, 2.0], ["k1"], "config must be a JSON object"),
+    "phi form": ({"phi": {"sine": [1]}}, ["k1"], "unknown phi form 'sine'"),
+    "phi list": ({"phi": [1]}, ["k1"],
+                 'config phi must be a built-in name, {"constant": [...]}, '
+                 'or {"polynomial": [[...], ...]}'),
+    "allow_incomplete": ({"allow_incomplete": 1}, ["k1"],
+                         "config allow_incomplete must be a boolean"),
+    "N flag": ({}, ["k1", "-N", "0"], "N must be an integer >= 1, got 0"),
+    "N sweep": ({}, ["sweep", "--axis", "N", "--range", "0:3"],
+                "N sweep range must stay >= 1"),
+    "range": ({}, ["sweep", "--axis", "h", "--range", "a:3"],
+              "range endpoints must be numbers: 'a:3'"),
+}
+
+
+@pytest.mark.parametrize("case", _CONFIG_ERRORS)
+def test_config_error_messages(tmp_path, capsys, case):
+    overrides, argv, message = _CONFIG_ERRORS[case]
+    if isinstance(overrides, list):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(overrides))
+        config = str(path)
+    else:
+        config = write_config(tmp_path, **overrides)
+    assert main([argv[0], "--config", config, *argv[1:]]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"lk: config error: {message}\n")
+
+
 @pytest.mark.parametrize("key", _NOT_NUMBERS)
 def test_config_numbers_must_be_json_numbers(tmp_path, capsys, key):
     overrides, shown = _NOT_NUMBERS[key]
@@ -125,6 +157,22 @@ def test_exit_code_numeric_failure(tmp_path, capsys):
                        Q0=[[1e306]], Q1=[[1.0]], Q2=[[0.0]])
     assert main(["build", "--config", cfg]) == cli.EXIT_NUMERIC
     assert "RangeError" in capsys.readouterr().err
+
+
+def test_k1_exits_3_at_the_residual_gate(capsys, monkeypatch):
+    # P off by 1e-6 relative fails the 1e-9 gate of the delay-free build.
+    trsyl = lkapprox.linalg._trsyl
+
+    def perturbed(T, B, C):
+        Y, scale = trsyl(T, B, C)
+        return Y * (1.0 + 1e-6), scale
+
+    monkeypatch.setattr(lkapprox.linalg, "_trsyl", perturbed)
+    assert main(["k1", "--config", "delay-free"]) == cli.EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "lk: numerical failure: NumericalFailureError: Lyapunov residual ")
 
 
 def test_exit_code_io_failure(tmp_path, capsys):
@@ -360,6 +408,25 @@ def test_sweep_N_axis_roundtrip(capsys):
     for r in rows:
         for cell in r[1:3] + [r[4]]:
             assert cli._fmt(float(cell)) == cell
+
+
+def test_sweep_out_file_equals_stdout(tmp_path, capsys):
+    # The same rows to a file as to stdout, wall_time_ms (column 6) aside.
+    argv = ["sweep", "--config", "example2", "--axis", "h", "--range", "1:3",
+            "--steps", "4"]
+    code, out = run(capsys, *argv)
+    assert code == cli.EXIT_OK
+    path = tmp_path / "sweep.csv"
+    code, printed = run(capsys, *argv, "--out", str(path))
+    assert (code, printed) == (cli.EXIT_OK, "")
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+
+    def masked(csv_text):
+        return [line.split(",")[:5] + line.split(",")[6:]
+                for line in csv_text.split("\n")]
+
+    assert masked(text) == masked(out) and len(masked(text)) == 6
 
 
 def test_sweep_N_axis_builds_each_order_once(capsys):

@@ -104,6 +104,11 @@ def test_function_spec_dimension_is_an_integer_at_least_one(make, n):
         make(n)
 
 
+def test_function_spec_constant_takes_a_vector():
+    with pytest.raises(DimensionError, match="takes a vector"):
+        FunctionSpec.constant([[1.0, 2.0]])
+
+
 def test_function_spec_rejects_non_finite_entries():
     # A config's JSON may hold the literals NaN and Infinity.
     with pytest.raises(ValueError, match="non-finite"):

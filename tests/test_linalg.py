@@ -77,6 +77,9 @@ def test_eigenvalues_rejects_nonsquare():
     # schur_complement takes one matrix: a (k, d, d) stack is not one.
     with pytest.raises(DimensionError):
         schur_complement(np.array([np.eye(3)] * 2), 2)
+    # Nor can its eliminated block be the whole matrix.
+    with pytest.raises(DimensionError, match="block order p=2"):
+        schur_complement(np.eye(2), 2)
 
 
 def test_rightmost_eigenvalue_matches_characteristic_root(ex1_system):
@@ -211,6 +214,30 @@ def test_solve_lyapunov_residual_at_large_scale():
         sol = solve_lyapunov(A, c * Q)
         assert 0.0 <= sol.residual <= 1e-15
         npt.assert_allclose(sol.P / c, P, rtol=1e-13)
+
+
+def test_residual_gate_raises_with_the_residual(monkeypatch):
+    # The triangular solve returns Y (1 + 1e-6): P is off by 1e-6 relative,
+    # far past the 1e-9 gate, and the error carries the residual it saw.
+    trsyl = lkapprox.linalg._trsyl
+
+    def perturbed(T, B, C):
+        Y, scale = trsyl(T, B, C)
+        return Y * (1.0 + 1e-6), scale
+
+    monkeypatch.setattr(lkapprox.linalg, "_trsyl", perturbed)
+    A = np.array([[-1.0, 0.5], [0.0, -2.0]])
+    with pytest.raises(NumericalFailureError, match="Lyapunov residual") as err:
+        solve_lyapunov(A, np.eye(2))
+    assert err.value.residual > 1e-9
+
+
+def test_schur_factor_raises_where_dgees_fails(monkeypatch):
+    # info != 0: the QR iteration stopped before it found every eigenvalue.
+    monkeypatch.setattr(lkapprox.linalg, "_gees",
+                        lambda At: (np.eye(2), np.zeros(2), np.zeros(2), np.eye(2), 1))
+    with pytest.raises(lkapprox.linalg.ConvergenceError, match=r"\(info=1\)"):
+        solve_lyapunov(-np.eye(2), np.eye(2))
 
 
 def test_schur_complement_scalar_blocks():
